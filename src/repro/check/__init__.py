@@ -9,8 +9,9 @@ Three legs, per the validation methodology of trace-driven simulators
   caps, HWQ occupancy, FCFS stream order, SPAWN Algorithm 1 re-evaluation,
   stats identities) over every simulation it observes.
 * :mod:`repro.check.reference` — naive pure-Python reference
-  implementations of the optimized engine components, and a differential
-  runner that asserts identical event streams and bit-identical stats.
+  implementations of the engine's batch-stepping components and a
+  per-event engine built on them, and a differential runner that asserts
+  identical event streams and bit-identical stats.
 * :mod:`repro.check.golden` — a versioned golden-trace regression corpus
   (compressed JSONL event traces for a pinned benchmark x scheme matrix)
   with a first-divergence diff report.

@@ -202,20 +202,13 @@ def diff_traces(
     return None
 
 
-def record_trace(
-    benchmark: str, scheme: str, *, check: bool = True, engine: str = "default"
-):
+def record_trace(benchmark: str, scheme: str, *, check: bool = True):
     """Simulate one matrix cell with a ConformanceChecker attached.
 
     Returns ``(checker, result)`` — the checker holds the retained event
     stream (golden source) and any invariant violations.  Import-local to
     keep :mod:`repro.check.golden` free of heavyweight harness imports for
     consumers that only diff traces.
-
-    ``engine`` selects the simulation core.  The corpus itself is always
-    recorded with the reference engine; verifying with ``engine="fast"``
-    diffs the fast core's event stream against those same committed
-    files — the strongest bit-identity certificate the repo has.
     """
     from repro.check.invariants import ConformanceChecker
     from repro.harness.runner import RunConfig, Runner
@@ -225,9 +218,7 @@ def record_trace(
     checker = ConformanceChecker(config, scheme=scheme)
     runner = Runner(config)
     result = runner.run(
-        RunConfig(
-            benchmark=benchmark, scheme=scheme, seed=GOLDEN_SEED, engine=engine
-        ),
+        RunConfig(benchmark=benchmark, scheme=scheme, seed=GOLDEN_SEED),
         tracer=checker,
     )
     if check:

@@ -68,18 +68,14 @@ Examples
 ::
 
     python -m repro run BFS-graph500 --scheme spawn
-    python -m repro run SA-thaliana --scheme spawn --engine fast
     python -m repro run BFS-citation --trace bfs.jsonl --chrome-trace bfs.json
     python -m repro audit all --scheme spawn
     python -m repro sweep SSSP-citation
     python -m repro experiment fig15
     python -m repro suite --jobs 4
     python -m repro check
-    python -m repro check --engine fast
     python -m repro cache stats
     python -m repro bench --output BENCH.json
-    python -m repro bench --engine fast --min-speedup 0.3
-    python -m repro bench --compare-engines --min-speedup 0.9
     python -m repro serve --synthetic 100 --deadline-ms 2000 --stats
     python -m repro serve requests.json --jobs 4 --stats-json stats.json
     python -m repro serve --synthetic 50 --record ledger.jsonl
@@ -101,35 +97,20 @@ from repro.harness.sweep import threshold_sweep
 from repro.obs.export import write_json_atomic
 
 
-def _add_engine_argument(parser: argparse.ArgumentParser, *, what: str) -> None:
-    """The shared ``--engine`` flag: which simulation core runs ``what``."""
-    parser.add_argument(
-        "--engine", default="default", choices=["default", "fast"],
-        help=f"simulation core for {what}: the per-event reference engine "
-             "or the batch-stepping fast core, certified bit-identical "
-             "(default: default)",
-    )
-
-
 def _add_store_argument(
     parser: argparse.ArgumentParser, *, no_store: bool = False
 ) -> None:
-    """The shared ``--store URL`` flag (plus its deprecated alias).
+    """The shared ``--store URL`` flag.
 
     Every store-touching command accepts the same URL syntax:
     ``dir://PATH``, ``sqlite://PATH.db``, ``kv://HOST:PORT``, or a bare
-    path (meaning ``dir://``).  ``--cache-dir DIR`` is kept as a
-    warning-deprecated alias for ``--store dir://DIR``.
+    path (meaning ``dir://``).
     """
     parser.add_argument(
         "--store", default=None, metavar="URL",
         help="result store: dir://PATH, sqlite://PATH.db, kv://HOST:PORT, "
              "or a bare directory path "
              "(default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="deprecated alias for --store dir://DIR",
     )
     if no_store:
         parser.add_argument(
@@ -139,7 +120,7 @@ def _add_store_argument(
 
 
 def _resolve_store_url(args, *, default: bool):
-    """``(use_store, url)`` from ``--store``/``--cache-dir``/``--no-store``.
+    """``(use_store, url)`` from ``--store``/``--no-store``.
 
     ``default=True`` opens the default directory cache when no flag was
     given (suite/serve/replay/cache); ``default=False`` stays storeless
@@ -147,22 +128,9 @@ def _resolve_store_url(args, *, default: bool):
     ``url`` may be None with ``use_store=True``, meaning "the default
     location" (:func:`repro.harness.store.open_store` resolves it).
     """
-    from repro.errors import HarnessError
-
     if getattr(args, "no_store", False):
         return False, None
     url = getattr(args, "store", None)
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir is not None:
-        if url is not None:
-            raise HarnessError("pass --store or --cache-dir, not both")
-        # Printed, not warnings.warn(): CLI deprecations talk to the
-        # terminal; the API-level DeprecationWarning lives in ResultStore.
-        print(
-            f"warning: --cache-dir is deprecated; use --store dir://{cache_dir}",
-            file=sys.stderr,
-        )
-        url = str(cache_dir)
     if url is None and not default:
         return False, None
     return True, url
@@ -207,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--profile", action="store_true",
                      help="print harness wall-clock timings after the run")
     _add_store_argument(run)
-    _add_engine_argument(run, what="this run")
 
     audit = sub.add_parser(
         "audit", help="SPAWN decision audit: prediction error vs. reality"
@@ -249,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--fail-fast", action="store_true",
                        help="abort on the first quarantined run instead of "
                             "completing the rest of the suite")
-    _add_engine_argument(suite, what="every suite run")
 
     check = sub.add_parser(
         "check",
@@ -268,9 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--benchmark", default=None, metavar="NAME",
         help="restrict to one benchmark of the matrix",
     )
-    _add_engine_argument(check, what="the matrix runs (the corpus itself "
-                                     "is always recorded with the default "
-                                     "engine)")
 
     cache = sub.add_parser(
         "cache", help="inspect or clear the persistent result store"
@@ -290,18 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--min-speedup", type=float, default=None, metavar="X",
                        help="fail (exit 1) when any pair's speedup vs. its "
                             "recorded reference drops below X, e.g. 0.25 "
-                            "(default: drift check only); with "
-                            "--compare-engines the gate applies to the "
-                            "same-host fast-vs-default ratio instead")
-    bench.add_argument("--compare-engines", action="store_true",
-                       help="time every pair under BOTH engines, interleaved "
-                            "on the same host, and write the speedup matrix "
-                            "plus a bit-identical-makespan cross-check into "
-                            "the report")
+                            "(default: drift check only)")
     _add_store_argument(bench)
-    _add_engine_argument(bench, what="the timed runs (ignored by "
-                                     "--compare-engines, which always times "
-                                     "both)")
 
     serve = sub.add_parser(
         "serve",
@@ -359,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--record", default=None, metavar="LEDGER.jsonl",
                        help="record every request's arrival and outcome into "
                             "a replayable ledger file")
-    _add_engine_argument(serve, what="requests that did not pick one "
-                                     "themselves")
 
     replay = sub.add_parser(
         "replay",
@@ -438,9 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--json", default=None, metavar="FILE",
                       help="write the fresh records + verdicts as JSON")
     _add_store_argument(perf)
-    _add_engine_argument(perf, what="the timed pairs (non-default engines "
-                                    "record their own @engine-suffixed "
-                                    "history series)")
 
     plot = sub.add_parser(
         "plot", help="ASCII concurrency timeline for one run (Fig. 6/19 style)"
@@ -466,24 +414,17 @@ def cmd_config(out) -> int:
 
 
 def cmd_run(args, out) -> int:
-    from repro.obs import Tracer, write_chrome_trace, write_jsonl
-    from repro.obs.profile import REGISTRY
+    from repro.obs import METRICS, Tracer, write_chrome_trace, write_jsonl
 
-    # default_engine so the flat run behind speedup_vs_flat uses the same
-    # core as the main run (and both land in engine-keyed cache entries).
     # The store stays off unless requested: `repro run` is historically
     # cacheless, and quick one-offs should not populate a store unasked.
-    runner = Runner(
-        store=_open_cli_store(args, default=False),
-        default_engine=args.engine,
-    )
+    runner = Runner(store=_open_cli_store(args, default=False))
     config = RunConfig(
         benchmark=args.benchmark,
         scheme=args.scheme,
         seed=args.seed,
         cta_threads=args.cta_threads,
         stream_policy=args.stream_policy,
-        engine=args.engine,
     )
     tracing = args.trace is not None or args.chrome_trace is not None
     tracer = Tracer() if tracing else None
@@ -516,13 +457,25 @@ def cmd_run(args, out) -> int:
             file=out,
         )
     if args.profile:
+        runs = [
+            (dict(labels), hist)
+            for name, labels, hist in METRICS.collect()
+            if name == "sim.run_seconds"
+        ]
+        runs.sort(key=lambda run: run[1].sum, reverse=True)
         print(file=out)
         print(
             format_table(
                 ["timer", "calls", "total_s", "mean_s", "max_s"],
                 [
-                    (name, calls, f"{total:.3f}", f"{mean:.3f}", f"{mx:.3f}")
-                    for name, calls, total, mean, mx in REGISTRY.timer_rows()
+                    (
+                        f"sim.run/{labels['benchmark']}/{labels['scheme']}",
+                        hist.count,
+                        f"{hist.sum:.3f}",
+                        f"{hist.mean:.3f}",
+                        f"{hist.max:.3f}",
+                    )
+                    for labels, hist in runs
                 ],
                 title="harness wall-clock profile",
             ),
@@ -635,7 +588,7 @@ def cmd_suite(args, out) -> int:
     from repro.experiments.plans import suite_plan
     from repro.harness.faults import FaultPlan
     from repro.harness.parallel import ExecutionPolicy, ParallelRunner, default_jobs
-    from repro.obs.profile import REGISTRY
+    from repro.obs import METRICS
 
     jobs = args.jobs if args.jobs is not None else default_jobs()
     if jobs < 1:
@@ -650,10 +603,7 @@ def cmd_suite(args, out) -> int:
               file=sys.stderr)
         return 2
     store = _open_cli_store(args, default=True)
-    # default_engine covers the experiment phase: experiment modules build
-    # their own RunConfigs, and the runner resolves them onto the same
-    # engine-keyed cache entries the fan-out produced.
-    runner = Runner(store=store, default_engine=args.engine)
+    runner = Runner(store=store)
     if args.experiments:
         names = [name.strip() for name in args.experiments.split(",") if name.strip()]
         unknown = [name for name in names if name not in ALL_EXPERIMENTS]
@@ -677,16 +627,6 @@ def cmd_suite(args, out) -> int:
         if store is not None:
             runner.store = faults.flaky_store(store)
     plan = suite_plan(args.seed, names)
-    if args.engine != "default":
-        # Worker processes execute the plan configs verbatim (they build
-        # their own runners), so the engine must ride on the configs.
-        import dataclasses
-
-        plan = [
-            dataclasses.replace(c, engine=args.engine)
-            if c.engine == "default" else c
-            for c in plan
-        ]
     parallel = ParallelRunner(runner, policy=policy, faults=faults)
     report = parallel.run_suite(plan, jobs=jobs)
     if args.resume:
@@ -724,19 +664,22 @@ def cmd_suite(args, out) -> int:
             continue
         print(result.table(), file=out)
         print(file=out)
-    counters = REGISTRY.counters
+
+    def count(name: str) -> int:
+        return int(METRICS.counter(name).value)
+
     print(
         "suite done: "
         f"jobs={jobs} "
-        f"fanned_out={int(counters.get('parallel.fanned_out', 0))} "
+        f"fanned_out={count('parallel.fanned_out')} "
         f"resumed={report.resumed} "
         f"retries={report.retries} "
         f"timeouts={report.timeouts} "
         f"worker_crashes={report.worker_crashes} "
         f"quarantined={report.quarantined} "
-        f"simulated_inline={int(counters.get('runner.cache_misses', 0))} "
-        f"memory_hits={int(counters.get('runner.cache_hits', 0))} "
-        f"disk_hits={int(counters.get('runner.disk_hits', 0))}",
+        f"simulated_inline={count('runner.cache_misses')} "
+        f"memory_hits={count('runner.cache_hits')} "
+        f"disk_hits={count('runner.disk_hits')}",
         file=sys.stderr,
     )
     return 1 if (report.failures or failed_experiments) else 0
@@ -755,15 +698,6 @@ def cmd_check(args, out) -> int:
         write_golden,
     )
 
-    if args.update_golden and args.engine != "default":
-        # The corpus is the reference engine's word; recording it with a
-        # candidate engine would certify that engine against itself.
-        print(
-            "error: --update-golden must record with the default engine "
-            "(verify a candidate with --engine, never record with it)",
-            file=sys.stderr,
-        )
-        return 2
     golden_dir = args.golden_dir if args.golden_dir else default_golden_dir()
     matrix = [
         pair for pair in GOLDEN_MATRIX
@@ -777,10 +711,8 @@ def cmd_check(args, out) -> int:
         return 2
     failures = 0
     for benchmark, scheme in matrix:
-        checker, result = record_trace(benchmark, scheme, engine=args.engine)
+        checker, result = record_trace(benchmark, scheme)
         label = f"{benchmark}/{scheme}"
-        if args.engine != "default":
-            label = f"{label} [{args.engine}]"
         if checker.violations:
             failures += 1
             print(
@@ -848,8 +780,6 @@ def cmd_cache(args, out) -> int:
 def cmd_bench(args, out) -> int:
     from repro.harness.bench import (
         DEFAULT_MIN_SPEEDUP,
-        compare_engines,
-        compare_regressions,
         regressions,
         run_bench,
         write_report,
@@ -868,84 +798,10 @@ def cmd_bench(args, out) -> int:
     # Timed runs stay cold (a cache hit would measure nothing); --store
     # write-throughs each result after its clock stops.
     store = _open_cli_store(args, default=False)
-    store_kwargs = {"store": store} if store is not None else {}
-    if args.compare_engines:
-        report = compare_engines(
-            repeat=args.repeat, seed=args.seed, **store_kwargs
-        )
-        path = write_report(report, args.output)
-        rows = [
-            (
-                row["pair"],
-                engine,
-                row["engines"][engine]["seconds"],
-                row["engines"][engine].get("speedup", "-"),
-                {True: "yes", False: "NO"}.get(
-                    row["engines"][engine].get("makespan_identical"), "-"
-                ),
-            )
-            for row in report["pairs"]
-            for engine in report["engines"]
-        ]
-        print(
-            format_table(
-                ["pair", "engine", "seconds", "speedup",
-                 "makespan identical"],
-                rows,
-                title=(
-                    "engine comparison, same host "
-                    f"(best of {report['repeat']}, speedup vs. "
-                    f"{report['baseline_engine']})"
-                ),
-            ),
-            file=out,
-        )
-        aggregate = ", ".join(
-            f"{engine} {speedup}x"
-            for engine, speedup in sorted(
-                report["aggregate_speedup"].items()
-            )
-        )
-        print(
-            f"aggregate speedup vs. {report['baseline_engine']}: {aggregate}",
-            file=out,
-        )
-        print(f"wrote {path}", file=sys.stderr)
-        failed = False
-        mismatched = [
-            f"{row['pair']} ({engine})"
-            for row in report["pairs"]
-            for engine, entry in row["engines"].items()
-            if entry.get("makespan_identical") is False
-        ]
-        if mismatched:
-            print(
-                "error: engines disagree on makespan (bit-identity "
-                f"contract broken) on: {', '.join(mismatched)}",
-                file=sys.stderr,
-            )
-            failed = True
-        if args.min_speedup is not None:
-            regressed = compare_regressions(report, args.min_speedup)
-            if regressed:
-                detail = ", ".join(
-                    f"{row['pair']}@{row['engine']} ({row['speedup']}x)"
-                    for row in regressed
-                )
-                print(
-                    f"error: same-host speedup below {args.min_speedup}x "
-                    f"on: {detail}",
-                    file=sys.stderr,
-                )
-                failed = True
-        return 1 if failed else 0
-
     min_speedup = (
         args.min_speedup if args.min_speedup is not None else DEFAULT_MIN_SPEEDUP
     )
-    report = run_bench(
-        repeat=args.repeat, seed=args.seed, engine=args.engine, **store_kwargs
-    )
+    report = run_bench(repeat=args.repeat, seed=args.seed, store=store)
     # The report is written before any gate: a failing run must still
     # leave its evidence on disk for CI to archive.
     path = write_report(report, args.output)
@@ -963,10 +819,7 @@ def cmd_bench(args, out) -> int:
         format_table(
             ["pair", "seconds", "reference_s", "speedup", "makespan identical"],
             rows,
-            title=(
-                f"engine benchmark (best of {report['repeat']}, "
-                f"engine={report['engine']})"
-            ),
+            title=f"engine benchmark (best of {report['repeat']})",
         ),
         file=out,
     )
@@ -1075,7 +928,6 @@ def cmd_serve(args, out) -> int:
         inline_threshold_ms=args.inline_ms,
         max_batch=args.max_batch,
         max_queue=args.max_queue,
-        engine=args.engine,
         autotune=args.autotune,
         autotune_pulls=args.autotune_pulls,
         autotune_seed=args.traffic_seed,
@@ -1412,7 +1264,6 @@ def cmd_perf(args, out) -> int:
         pairs=pairs,
         repeat=args.repeat,
         seed=args.seed,
-        engine=args.engine,
         store=_open_cli_store(args, default=False),
     )
     fresh = records_from_bench(bench_report, at)
@@ -1457,8 +1308,8 @@ def cmd_perf(args, out) -> int:
             "batches": stats.batches - before.batches,
         }
         # A label suffix makes the closed-loop soak its own history
-        # series (like @fast for the engine), so `repro perf` trends and
-        # gates it separately from the static-scheme soak.
+        # series, so `repro perf` trends and gates it separately from the
+        # static-scheme soak.
         label = "service-soak@autotuned" if args.autotune else "service-soak"
         if args.autotune:
             details["autotuned"] = stats.autotuned

@@ -10,7 +10,6 @@ from repro.harness.schemes import (
     SPAWN,
     SchemeSpec,
     make_policy,
-    parse_scheme,
 )
 from repro.harness.export import (
     experiment_to_csv,
@@ -82,7 +81,6 @@ __all__ = [
     "make_policy",
     "offline_search",
     "open_store",
-    "parse_scheme",
     "replicate",
     "replication_plan",
     "result_to_dict",

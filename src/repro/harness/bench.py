@@ -54,8 +54,7 @@ REFERENCE: Dict[str, Dict[str, float]] = {
     "GC-graph500/baseline-dp": {"seconds": 1.7078, "makespan": 1430960.9621359222},
     "JOIN-uniform/spawn": {"seconds": 1.7569, "makespan": 208378.7464706742},
     "BFS-graph500/spawn": {"seconds": 0.177, "makespan": 196628.69311875236},
-    # Scheme-zoo pairs, recorded on the default engine at introduction
-    # (PR 9); the makespans double as the cross-engine fidelity contract.
+    # Scheme-zoo pairs, recorded at their introduction.
     "SSSP-citation/consolidate": {
         "seconds": 0.5538, "makespan": 209957.2411666201,
     },
@@ -74,7 +73,7 @@ def _warm_inputs(pairs: Sequence[Tuple[str, str]], seed: int) -> None:
         benchmark.dp(seed)
 
 
-def _timed_run(name: str, scheme: str, seed: int, engine: str, store=None):
+def _timed_run(name: str, scheme: str, seed: int, store=None):
     """One cold run; returns (wall seconds, makespan).
 
     ``store`` (a :class:`~repro.harness.store.ResultStore`) persists the
@@ -83,7 +82,7 @@ def _timed_run(name: str, scheme: str, seed: int, engine: str, store=None):
     runs other commands can reuse, so write-through warming is free.
     """
     runner = Runner()  # fresh: no memory cache, no disk store
-    config = RunConfig(benchmark=name, scheme=scheme, seed=seed, engine=engine)
+    config = RunConfig(benchmark=name, scheme=scheme, seed=seed)
     start = time.perf_counter()
     result = runner.run(config)
     elapsed = time.perf_counter() - start
@@ -103,17 +102,13 @@ def run_bench(
     pairs: Sequence[Tuple[str, str]] = BENCH_PAIRS,
     repeat: int = 3,
     seed: int = 1,
-    engine: str = "default",
     store=None,
 ) -> Dict:
     """Time the fixed run-set; returns the (JSON-ready) report dict.
 
-    ``engine`` selects the simulation core for every timed run.  The
-    recorded :data:`REFERENCE` seconds were measured on the
-    pre-optimization default engine, so the ``speedup`` column reads as
-    "vs. the PR-2 baseline" whichever engine runs — and the makespan
-    contract is engine-independent, because the fast core is certified
-    bit-identical.
+    The recorded :data:`REFERENCE` seconds were measured on the
+    pre-optimization engine, so the ``speedup`` column reads as "vs. that
+    baseline"; the makespans are the bit-for-bit fidelity contract.
     """
     _warm_inputs(pairs, seed)
     rows: List[Dict] = []
@@ -122,7 +117,7 @@ def run_bench(
         best = float("inf")
         makespan = None
         for _ in range(max(repeat, 1)):
-            elapsed, makespan = _timed_run(name, scheme, seed, engine, store)
+            elapsed, makespan = _timed_run(name, scheme, seed, store)
             if elapsed < best:
                 best = elapsed
         row = {
@@ -139,86 +134,6 @@ def run_bench(
     return {
         "repeat": max(repeat, 1),
         "seed": seed,
-        "engine": engine,
-        "pairs": rows,
-    }
-
-
-def compare_engines(
-    *,
-    pairs: Sequence[Tuple[str, str]] = BENCH_PAIRS,
-    engines: Sequence[str] = ("default", "fast"),
-    repeat: int = 3,
-    seed: int = 1,
-    store=None,
-) -> Dict:
-    """Time every pair under every engine and build the speedup matrix.
-
-    Unlike :func:`run_bench`'s comparison against *recorded* reference
-    seconds, both sides here run on the same host in the same process,
-    interleaved repetition by repetition — host speed and thermal drift
-    cancel, so the per-pair ``speedup`` (first engine's best over this
-    engine's best) is a clean like-for-like ratio.  Every non-baseline
-    engine's makespan is also checked bit-for-bit against the baseline
-    engine's: the certified-identical contract, enforced at bench time.
-    """
-    if len(engines) < 2:
-        raise ValueError(f"need at least two engines to compare, got {engines}")
-    _warm_inputs(pairs, seed)
-    best: Dict[Tuple[str, str, str], float] = {}
-    makespans: Dict[Tuple[str, str, str], float] = {}
-    for _ in range(max(repeat, 1)):
-        for name, scheme in pairs:
-            for engine in engines:
-                elapsed, makespan = _timed_run(name, scheme, seed, engine, store)
-                key = (name, scheme, engine)
-                if elapsed < best.get(key, float("inf")):
-                    best[key] = elapsed
-                makespans[key] = makespan
-    baseline = engines[0]
-    rows: List[Dict] = []
-    for name, scheme in pairs:
-        pair = f"{name}/{scheme}"
-        base_seconds = best[(name, scheme, baseline)]
-        base_makespan = makespans[(name, scheme, baseline)]
-        row: Dict = {"pair": pair, "engines": {}}
-        for engine in engines:
-            entry: Dict = {
-                "seconds": round(best[(name, scheme, engine)], 4),
-                "makespan": makespans[(name, scheme, engine)],
-            }
-            if engine != baseline:
-                entry["speedup"] = round(
-                    base_seconds / best[(name, scheme, engine)], 3
-                )
-                entry["makespan_identical"] = (
-                    makespans[(name, scheme, engine)] == base_makespan
-                )
-            row["engines"][engine] = entry
-        reference = REFERENCE.get(pair)
-        if reference is not None:
-            row["reference_makespan_identical"] = (
-                base_makespan == reference["makespan"]
-            )
-        rows.append(row)
-    totals = {
-        engine: sum(best[(name, scheme, engine)] for name, scheme in pairs)
-        for engine in engines
-    }
-    return {
-        "mode": "compare-engines",
-        "repeat": max(repeat, 1),
-        "seed": seed,
-        "engines": list(engines),
-        "baseline_engine": baseline,
-        "aggregate_seconds": {
-            engine: round(seconds, 4) for engine, seconds in totals.items()
-        },
-        "aggregate_speedup": {
-            engine: round(totals[baseline] / totals[engine], 3)
-            for engine in engines
-            if engine != baseline
-        },
         "pairs": rows,
     }
 
@@ -241,26 +156,6 @@ def regressions(report: Dict, min_speedup: float) -> List[Dict]:
         for row in report.get("pairs", [])
         if row.get("speedup") is not None and row["speedup"] < min_speedup
     ]
-
-
-def compare_regressions(report: Dict, min_speedup: float) -> List[Dict]:
-    """Engine entries in a :func:`compare_engines` report below the gate.
-
-    Returns flat rows (``pair``, ``engine``, ``speedup``) for every
-    non-baseline engine whose same-host speedup fell below
-    ``min_speedup``.  Same-host ratios carry none of the cross-host
-    slack :data:`DEFAULT_MIN_SPEEDUP` allows, so gates near (or above)
-    1.0 are meaningful here.
-    """
-    rows = []
-    for row in report.get("pairs", []):
-        for engine, entry in row.get("engines", {}).items():
-            speedup = entry.get("speedup")
-            if speedup is not None and speedup < min_speedup:
-                rows.append(
-                    {"pair": row["pair"], "engine": engine, "speedup": speedup}
-                )
-    return rows
 
 
 def default_output_path(today: Optional[datetime.date] = None) -> Path:

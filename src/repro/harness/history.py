@@ -140,24 +140,20 @@ def append_records(records: Sequence[PerfRecord], path=DEFAULT_HISTORY_PATH) -> 
 def records_from_bench(report: Mapping, at: str) -> List[PerfRecord]:
     """Per-pair records from a :func:`repro.harness.bench.run_bench` report.
 
-    A non-default engine gets its own series per pair
-    (``"SA-thaliana/spawn@fast"``): the engines' timings must never mix
-    in one trailing window, or a default-engine run right after a fast
-    baseline would read as a timing regression.  Makespans are engine-
-    independent by contract, so drift detection still bites within each
-    series.
+    One series per pair, labelled ``"benchmark/scheme"``.  Older history
+    files also hold ``"<pair>@fast"`` series and ``details.engine`` fields
+    from when two engines were selectable; they still load and chart,
+    they are simply no longer appended to.
     """
-    engine = str(report.get("engine", "default"))
-    suffix = "" if engine == "default" else f"@{engine}"
     records = []
     for row in report.get("pairs", []):
-        details = {"makespan": row.get("makespan"), "engine": engine}
+        details = {"makespan": row.get("makespan")}
         if row.get("speedup") is not None:
             details["speedup"] = row["speedup"]
         records.append(
             PerfRecord(
                 kind=BENCH,
-                label=row["pair"] + suffix,
+                label=row["pair"],
                 value=float(row["seconds"]),
                 at=at,
                 details=details,

@@ -71,7 +71,6 @@ from repro.harness import schemes as sch
 from repro.harness.faults import FaultPlan
 from repro.harness.runner import RunConfig, Runner
 from repro.obs.metrics import METRICS
-from repro.obs.profile import REGISTRY
 from repro.obs.tracer import (
     HARNESS_POOL_REBUILD,
     HARNESS_QUARANTINE,
@@ -296,7 +295,6 @@ class ParallelRunner:
                 cta_threads=config.cta_threads,
                 stream_policy=config.stream_policy,
                 trace_interval=config.trace_interval,
-                engine=config.engine,
             )
             for scheme in variants
         ]
@@ -335,7 +333,7 @@ class ParallelRunner:
         work = [c for c in expanded if self.runner.cached(c) is None]
         resumed = len(expanded) - len(work)
         if resumed:
-            REGISTRY.count("parallel.resumed", resumed)
+            METRICS.counter("parallel.resumed").inc(resumed)
         report = SuiteReport(configs=configs, resumed=resumed)
         if work:
             states = [_TaskState(config) for config in work]
@@ -347,7 +345,7 @@ class ParallelRunner:
     def _execute(
         self, states: List[_TaskState], jobs: int, report: SuiteReport
     ) -> None:
-        REGISTRY.count("parallel.fanned_out", len(states))
+        METRICS.counter("parallel.fanned_out").inc(len(states))
         pending: Deque[_TaskState] = deque(states)
         if jobs == 1 or len(states) == 1:
             self._execute_serial(pending, report)
@@ -380,7 +378,7 @@ class ParallelRunner:
                 self.runner.run(state.config)
             except WorkerCrash as exc:
                 report.worker_crashes += 1
-                REGISTRY.count("parallel.worker_crashes")
+                METRICS.counter("parallel.worker_crashes").inc()
                 self._emit(
                     HARNESS_WORKER_CRASH,
                     benchmark=state.config.benchmark,
@@ -395,7 +393,7 @@ class ParallelRunner:
                     attempts=state.attempts,
                 )
                 failure.__cause__ = exc
-                REGISTRY.count("parallel.task_errors")
+                METRICS.counter("parallel.task_errors").inc()
                 self._after_failure(state, failure, pending, report)
             else:
                 state.status = OK
@@ -432,7 +430,7 @@ class ParallelRunner:
                             attempts=state.attempts,
                         )
                         report.timeouts += 1
-                        REGISTRY.count("parallel.timeouts")
+                        METRICS.counter("parallel.timeouts").inc()
                         self._emit(
                             HARNESS_TIMEOUT,
                             benchmark=state.config.benchmark,
@@ -448,7 +446,7 @@ class ParallelRunner:
                             attempts=state.attempts,
                         )
                         failure.__cause__ = exc
-                        REGISTRY.count("parallel.task_errors")
+                        METRICS.counter("parallel.task_errors").inc()
                         self._after_failure(state, failure, pending, report)
                     else:
                         self.runner.cache_result(state.config, result)
@@ -462,18 +460,18 @@ class ParallelRunner:
                 if broken:
                     rebuilds += 1
                     report.worker_crashes += 1
-                    REGISTRY.count("parallel.worker_crashes")
+                    METRICS.counter("parallel.worker_crashes").inc()
                     self._emit(HARNESS_WORKER_CRASH, inflight=len(inflight))
                     self._requeue_lost(inflight, pending, report)
                     pool.shutdown(wait=False, cancel_futures=True)
                     if rebuilds > policy.max_pool_rebuilds:
                         report.serial_fallback = True
-                        REGISTRY.count("parallel.serial_fallback")
+                        METRICS.counter("parallel.serial_fallback").inc()
                         self._emit(HARNESS_SERIAL_FALLBACK, remaining=len(pending))
                         self._execute_serial(pending, report)
                         return
                     report.pool_rebuilds += 1
-                    REGISTRY.count("parallel.pool_rebuilds")
+                    METRICS.counter("parallel.pool_rebuilds").inc()
                     self._emit(HARNESS_POOL_REBUILD, rebuilds=rebuilds)
                     pool = ProcessPoolExecutor(max_workers=workers)
                 if self._fail_fast_triggered(report):
@@ -527,7 +525,7 @@ class ParallelRunner:
             )
             requeued = self._after_failure(state, failure, pending, report)
             if requeued:
-                REGISTRY.count("parallel.requeued")
+                METRICS.counter("parallel.requeued").inc()
                 self._emit(
                     HARNESS_REQUEUE,
                     benchmark=state.config.benchmark,
@@ -553,7 +551,6 @@ class ParallelRunner:
             if delay > 0:
                 time.sleep(delay)
             report.retries += 1
-            REGISTRY.count("parallel.retries")
             METRICS.counter("harness.retries_total").inc()
             self._emit(
                 HARNESS_RETRY,
@@ -567,7 +564,6 @@ class ParallelRunner:
         state.error = str(failure)
         state.failure = failure
         report.quarantined += 1
-        REGISTRY.count("parallel.quarantined")
         METRICS.counter("harness.quarantined_total").inc()
         self._emit(
             HARNESS_QUARANTINE,

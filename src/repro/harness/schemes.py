@@ -23,7 +23,6 @@ mechanisms named in related work:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -121,16 +120,6 @@ class SchemeSpec:
     def bind_policy(self) -> str:
         """GMU SWQ→HWQ binding policy this scheme requires."""
         return ACS if self.name == ACS else "fcfs"
-
-
-def parse_scheme(scheme: str) -> SchemeSpec:
-    """Deprecated alias for :meth:`SchemeSpec.parse`."""
-    warnings.warn(
-        "parse_scheme() is deprecated; use SchemeSpec.parse()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return SchemeSpec.parse(scheme)
 
 
 def make_policy(spec: SchemeSpec, benchmark: Benchmark) -> LaunchPolicy:

@@ -6,10 +6,9 @@
   actual child completion times (controller prediction error);
 * :mod:`repro.obs.export` — JSONL dumps and Chrome ``trace_event`` JSON
   (``chrome://tracing`` / Perfetto);
-* :mod:`repro.obs.profile` — counter/timer registry with a ``profile()``
-  context for harness wall-clock profiling;
-* :mod:`repro.obs.metrics` — serving-layer counters/gauges/latency
-  histograms with p50/p95/p99 extraction and JSON/Prometheus exporters.
+* :mod:`repro.obs.metrics` — the one metrics registry: counters, gauges
+  and latency histograms (harness, store, service, simulation wall time)
+  with p50/p95/p99 extraction and JSON/Prometheus exporters.
 """
 
 from repro.obs.audit import DecisionAudit, DecisionAuditRecord
@@ -27,7 +26,6 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.profile import REGISTRY, Registry, profile
 from repro.obs.tracer import (
     NULL_TRACER,
     ListSink,
@@ -51,9 +49,6 @@ __all__ = [
     "read_jsonl",
     "write_chrome_trace",
     "write_jsonl",
-    "REGISTRY",
-    "Registry",
-    "profile",
     "NULL_TRACER",
     "ListSink",
     "NullTracer",

@@ -1,10 +1,10 @@
-"""Serving-layer metrics: counters, gauges, and latency histograms.
+"""Metrics: counters, gauges, and latency histograms.
 
 The SPAWN controller is driven entirely by *measured* signals — predicted
-vs. actual child-kernel time, queue occupancy — and the serving stack
-deserves the same treatment.  This module is the measurement substrate:
-a dependency-free metrics model (``time.perf_counter`` + dicts, exactly
-like :mod:`repro.obs.profile`) with three instrument kinds and a
+vs. actual child-kernel time, queue occupancy — and the harness and
+serving stack deserve the same treatment.  This module is the one
+measurement substrate: a dependency-free metrics model
+(``time.perf_counter`` + dicts) with three instrument kinds and a
 process-wide registry.
 
 * :class:`Counter` — monotonically increasing totals (requests routed,
@@ -19,9 +19,7 @@ process-wide registry.
   reference).
 * :class:`MetricsRegistry` — named, labelled instruments with JSON
   (``to_dict``) and Prometheus text (``to_prometheus``) exporters.
-  :data:`METRICS` is the process-wide default, the sibling of
-  :data:`repro.obs.profile.REGISTRY` (wall-clock timers answer "which
-  simulator is slow"; these metrics answer "how is the *service* doing").
+  :data:`METRICS` is the process-wide default.
 
 Registries are per-process and unsynchronised, matching the rest of the
 observability layer: the service event loop and the harness both live in
@@ -29,6 +27,15 @@ the parent process, and worker processes never report metrics directly —
 their effects are observed from the parent side.
 
 Well-known instrument names (the dashboard contract):
+
+* ``sim.run_seconds{benchmark=, scheme=}`` — wall time of every
+  simulation the :class:`~repro.harness.runner.Runner` performs (what
+  ``repro run --profile`` prints), next to its ``runner.cache_hits`` /
+  ``runner.cache_misses`` / ``runner.disk_hits`` / ``runner.disk_misses``
+  / ``runner.store_errors`` counters.
+* ``parallel.*`` counters (``fanned_out``, ``resumed``, ``timeouts``,
+  ``worker_crashes``, ...) and ``harness.task_seconds{mode=pool|serial}``
+  — the fault-tolerant fan-out of :mod:`repro.harness.parallel`.
 
 * ``store.reads_total{backend=, outcome=hit|miss}`` and
   ``store.io_seconds{backend=, op=load|save}`` — emitted by the

@@ -56,7 +56,6 @@ from repro.errors import HarnessError
 from repro.harness import schemes as sch
 from repro.harness.runner import RunConfig, Runner
 from repro.obs.metrics import METRICS, MetricsRegistry
-from repro.obs.profile import REGISTRY
 from repro.obs.tracer import (
     NULL_TRACER,
     SERVICE_AUTOTUNE_ARM,
@@ -388,7 +387,7 @@ class AutoTuner:
             if cached is None:
                 continue
             tuner.observe(arm, float(cached.makespan), warm=True)
-            REGISTRY.count("service.autotune.warm_hits")
+            self.metrics.counter("service.autotune.warm_hits").inc()
             self._emit(
                 SERVICE_AUTOTUNE_WARM,
                 pair=pair, arm=arm, cost=float(cached.makespan),
@@ -413,7 +412,6 @@ class AutoTuner:
             return config
         tuner = self.tuner_for(config.benchmark, family, template=config)
         arm = tuner.propose()
-        REGISTRY.count("service.autotune.proposals")
         self.metrics.counter(
             "autotune.proposals_total",
             pair=self.pair_name(config.benchmark, family),
@@ -454,7 +452,7 @@ class AutoTuner:
         rounds_before = len(tuner.history)
         tuner.observe(config.scheme, float(cost))
         for summary in tuner.history[rounds_before:]:
-            REGISTRY.count("service.autotune.rounds")
+            self.metrics.counter("service.autotune.rounds").inc()
             self._emit(
                 SERVICE_AUTOTUNE_ROUND,
                 pair=pair, round=summary.round,
@@ -495,7 +493,7 @@ class AutoTuner:
     def _emit_converged(
         self, pair: str, tuner: SuccessiveHalvingTuner
     ) -> None:
-        REGISTRY.count("service.autotune.converged")
+        self.metrics.counter("service.autotune.converged").inc()
         incumbent = tuner.incumbent()
         self._emit(
             SERVICE_AUTOTUNE_CONVERGED,

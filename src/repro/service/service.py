@@ -28,7 +28,7 @@ nothing else is disturbed).
 
 Observability: ``service.*`` tracer events (wall-clock stamped, like the
 ``harness.*`` kinds) for every routing decision, ``service.*`` counters
-in :data:`repro.obs.profile.REGISTRY`, and a :class:`ServiceStats`
+in the service's metrics registry, and a :class:`ServiceStats`
 ledger whose headline invariant is *zero lost submissions*.
 
 Latency telemetry (:mod:`repro.obs.metrics`): every job is span-stamped
@@ -67,7 +67,6 @@ from repro.harness.parallel import (
 )
 from repro.harness.runner import RunConfig, Runner
 from repro.obs.metrics import METRICS, MetricsRegistry
-from repro.obs.profile import REGISTRY
 from repro.obs.tracer import (
     NULL_TRACER,
     SERVICE_ADMIT,
@@ -127,7 +126,6 @@ class ServiceConfig:
     max_queue: Optional[int] = None  # admitted-but-unfinished job cap
     ewma_alpha: float = 0.3  # cost model responsiveness
     ewma_window: int = 32  # cost model observation window
-    engine: str = "default"  # simulation core applied to plain requests
     autotune: bool = False  # online successive halving over the sweep grids
     autotune_pulls: int = 1  # observations per arm per halving round
     autotune_seed: int = 0  # exploration-order seed (see autotune module)
@@ -139,7 +137,6 @@ class ServiceConfig:
             raise HarnessError(
                 f"autotune_pulls must be >= 1, got {self.autotune_pulls}"
             )
-        Runner._simulator_class(self.engine)  # validate at the door
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise HarnessError(
                 f"deadline_ms must be positive, got {self.deadline_ms}"
@@ -285,11 +282,6 @@ class SimulationService:
             await self.start()
         submitted_at = time.perf_counter()
         config = as_run_config(entry, seed)
-        if self.config.engine != "default" and config.engine == "default":
-            # The service-level engine applies to requests that did not
-            # pick one themselves (tuples, traffic files, replayed
-            # ledgers); an explicit RunConfig.engine always wins.
-            config = replace(config, engine=self.config.engine)
         # Validate eagerly so one bad request cannot poison a batch.
         get_benchmark(config.benchmark)
         sch.SchemeSpec.parse(config.scheme)
@@ -300,10 +292,10 @@ class SimulationService:
             tuned = self.autotuner.rewrite(config)
             if tuned is not config:
                 self._stats.autotuned += 1
-                REGISTRY.count("service.autotuned")
+                self.metrics.counter("service.autotuned").inc()
                 config = tuned
         self._stats.submitted += 1
-        REGISTRY.count("service.submitted")
+        self.metrics.counter("service.submitted").inc()
         self._emit(
             SERVICE_SUBMIT,
             benchmark=config.benchmark, scheme=config.scheme, seed=config.seed,
@@ -316,7 +308,6 @@ class SimulationService:
             self._stats.coalesced += 1
             self._stats.in_flight += 1
             self._inflight_gauge.inc()
-            REGISTRY.count("service.coalesced")
             self.metrics.counter("service.requests_total", route="coalesced").inc()
             self._emit(
                 SERVICE_COALESCE,
@@ -330,7 +321,6 @@ class SimulationService:
         if cached is not None:
             self._stats.cache_hits += 1
             self._stats.completed += 1
-            REGISTRY.count("service.cache_hits")
             self.metrics.counter("service.requests_total", route="cached").inc()
             self._emit(
                 SERVICE_CACHE_HIT,
@@ -354,7 +344,6 @@ class SimulationService:
         )
         if decision.verdict == SHED:
             self._stats.shed += 1
-            REGISTRY.count("service.shed")
             self.metrics.counter("service.requests_total", route="shed").inc()
             self._emit(
                 SERVICE_SHED,
@@ -383,7 +372,6 @@ class SimulationService:
         self._stats.peak_queue_depth = max(
             self._stats.peak_queue_depth, self._scheduler.queue_depth
         )
-        REGISTRY.count("service.admitted")
         self.metrics.counter("service.requests_total", route="batch").inc()
         self._queue_gauge.set(self._scheduler.queue_depth)
         self._inflight_gauge.inc()
@@ -422,7 +410,6 @@ class SimulationService:
         job = ServiceJob(config, decision=decision)
         job.submitted_at = submitted_at
         self._stats.inline += 1
-        REGISTRY.count("service.inline")
         self.metrics.counter("service.requests_total", route="inline").inc()
         self._emit(
             SERVICE_INLINE,
@@ -441,7 +428,7 @@ class SimulationService:
             failure.__cause__ = exc
             self._stats.failed += 1
             self._stats.quarantined += 1
-            REGISTRY.count("service.quarantined")
+            self.metrics.counter("service.quarantined").inc()
             self._emit(
                 SERVICE_QUARANTINE,
                 benchmark=config.benchmark, scheme=config.scheme,
@@ -515,8 +502,8 @@ class SimulationService:
         self._stats.max_batch_size = max(
             self._stats.max_batch_size, len(batch)
         )
-        REGISTRY.count("service.batches")
-        REGISTRY.count("service.batched_jobs", len(batch))
+        self.metrics.counter("service.batches").inc()
+        self.metrics.counter("service.batched_jobs").inc(len(batch))
         self.metrics.histogram("service.batch_seconds").observe(max(elapsed, 0.0))
         self._queue_gauge.set(self._scheduler.queue_depth)
         self._emit(
@@ -571,7 +558,7 @@ class SimulationService:
         if error is not None:
             self._stats.failed += job.waiters
             self._stats.quarantined += 1
-            REGISTRY.count("service.quarantined")
+            self.metrics.counter("service.quarantined").inc()
             self._emit(
                 SERVICE_QUARANTINE,
                 benchmark=job.config.benchmark, scheme=job.config.scheme,

@@ -15,12 +15,26 @@ Declined launches (SPAWN's throttling, or a static THRESHOLD) extend the
 launching warp's timeline by the serial fallback loop, exactly the
 work-redistribution effect the paper exploits; approved launches only add
 the header reads and the asynchronous API call cost.
+
+The hot paths step in batches: the event queue drains whole same-time
+buckets, CTA dispatch reads per-spec constants cached on the spec
+(:func:`_spec_dispatch_cache`) and child grids share templates keyed by
+their request shape.  None of this may change *what* happens or in which
+order: callbacks run in exactly the ``(time, seq)`` order of a per-event
+engine, events are scheduled and cancelled exactly when a per-event
+engine would (deferring that churn renumbers ``seq`` and reorders
+same-time ties), and every arithmetic statement on the simulated timeline
+is operation-for-operation the scalar form.  The per-event oracle,
+:class:`repro.check.reference.ReferenceSimulator`, checks this contract
+event-for-event (DESIGN §13).
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import deque
+from functools import partial
 from typing import Deque, Dict, List, Optional
 
 import numpy as np
@@ -57,7 +71,7 @@ from repro.sim.instances import (
     KernelState,
     PendingDecision,
 )
-from repro.sim.kernel import Application, ChildRequest, KernelSpec, spec_from_request
+from repro.sim.kernel import Application, ChildRequest, KernelSpec
 from repro.sim.launch import LaunchUnit
 from repro.sim.memory import MemorySystem
 from repro.sim.merge import build_merged_spec, merge_key
@@ -249,6 +263,16 @@ class GPUSimulator:
         # CTA shapes that failed placement this dispatch pass (re-seeded at
         # the top of every _dispatch call).
         self._failed_shapes: set = set()
+        # One bound callback per SMX instead of a fresh lambda per
+        # reschedule (tens of thousands per run).
+        self._smx_callbacks = [
+            partial(self._on_smx_event, smx) for smx in self.smxs
+        ]
+        # Child-grid template cache: grids materialized from identical
+        # ChildRequests (which recur once per parent thread) share their
+        # thread_items array and the whole per-spec dispatch cache; only
+        # the absolute footprint bases depend on the request's mem_base.
+        self._child_templates: Dict[tuple, tuple] = {}
 
     def _submit_next_root(self) -> None:
         spec = self._app.kernels[self._host_index]
@@ -328,8 +352,11 @@ class GPUSimulator:
         if free_slots == 0:
             return False
         placed = False
-        for kernel in self.gmu.dispatchable_kernels():
+        gmu = self.gmu
+        note_taken = gmu.note_cta_taken  # dtbl heads bypass the GMU
+        for kernel in gmu.dispatchable_kernels():
             if self._place_cta_of(kernel):
+                note_taken(kernel)
                 placed = True
                 free_slots -= 1
                 if free_slots == 0:
@@ -361,14 +388,26 @@ class GPUSimulator:
         return True
 
     def _find_smx(self, *, threads: int, regs: int, shmem: int) -> Optional[SMX]:
-        n = len(self.smxs)
-        max_ctas = self.config.max_ctas_per_smx
+        smxs = self.smxs
+        n = len(smxs)
+        cfg = self.config
+        max_ctas = cfg.max_ctas_per_smx
+        max_threads = cfg.max_threads_per_smx
+        max_regs = cfg.registers_per_smx
+        max_shmem = cfg.shared_mem_per_smx
+        rr = self._smx_rr
         for offset in range(n):
-            smx = self.smxs[(self._smx_rr + offset) % n]
-            if len(smx.resident) >= max_ctas:
-                continue
-            if smx.can_fit(threads=threads, regs=regs, shmem=shmem):
-                self._smx_rr = (self._smx_rr + offset + 1) % n
+            index = rr + offset
+            if index >= n:
+                index -= n
+            smx = smxs[index]
+            if (
+                len(smx.resident) < max_ctas
+                and smx.used_threads + threads <= max_threads
+                and smx.used_regs + regs <= max_regs
+                and smx.used_shmem + shmem <= max_shmem
+            ):
+                self._smx_rr = (rr + offset + 1) % n
                 return smx
         return None
 
@@ -378,54 +417,63 @@ class GPUSimulator:
     def _dispatch_cta(self, kernel: KernelInstance, smx: SMX) -> None:
         now = self.queue.now
         spec = kernel.spec
-        cta_index = kernel.take_next_cta_index()
-        threads = spec.cta_thread_range(cta_index)
-        start, stop = threads.start, threads.stop
-        if kernel.record.first_dispatch_time is None:
-            kernel.record.first_dispatch_time = now
+        cache = spec.__dict__.get("_dispatch_cache")
+        if cache is None:
+            cache = _spec_dispatch_cache(spec)
+        (starts, stops, sizes, warps, executed_sums, per_warps, bases,
+         extents, dec_tids) = cache
+        cta_index = kernel.next_cta_index
+        if cta_index >= kernel.num_ctas:
+            raise SimulationError(
+                f"kernel {spec.name!r} has no CTAs left to dispatch"
+            )
+        kernel.next_cta_index = cta_index + 1
+        record = kernel.record
+        if record.first_dispatch_time is None:
+            record.first_dispatch_time = now
             if self.tracer.enabled:
                 self.tracer.emit(
                     KERNEL_FIRST_DISPATCH,
                     ts=now,
                     kernel_id=kernel.kernel_id,
                     kernel=spec.name,
-                    queuing_latency=kernel.record.queuing_latency,
+                    queuing_latency=record.queuing_latency,
                 )
 
-        items = spec.thread_items[start:stop]
+        start = starts[cta_index]
+        stop = stops[cta_index]
+        n = sizes[cta_index]
+        items = None
         # Memory footprint of the CTA's unconditional work.
         if spec.mem_bases is None:
             stall = self.memory.stall_cycles(1.0)
-        elif spec.contiguous_footprint:
-            base = int(spec.mem_bases[start])
-            extent = (
-                int(spec.mem_bases[stop - 1])
-                - base
-                + int(items[-1]) * spec.mem_stride
+        elif bases is not None:
+            stall, _ = self.memory.cta_access(
+                [(bases[cta_index], extents[cta_index])], smx.index, now
             )
-            stall, _ = self.memory.cta_access([(base, extent)], smx.index, now)
         else:
-            bases = spec.mem_bases[start:stop]
+            items = spec.thread_items[start:stop]
             stall, _ = self.memory.cta_access_arrays(
-                bases, items * spec.mem_stride, smx.index, now
+                spec.mem_bases[start:stop],
+                items * spec.mem_stride,
+                smx.index,
+                now,
             )
 
         # Per-warp critical path and issue occupancy.
         cost_total = spec.cycles_per_item + spec.accesses_per_item * stall
         issue_frac = spec.cycles_per_item / cost_total if cost_total > 0 else 0.0
-        n = stop - start
         init = self.cta_init_cycles
-        num_warps = (n + WARP_SIZE - 1) // WARP_SIZE
-        if spec.contiguous_footprint:
-            # Uniform child grid: every warp's max is items_per_thread
-            # (the remainder thread is never alone with a smaller count
-            # unless it is the only thread in the CTA).
-            per_warp = int(items[0]) if n > 1 else int(items[-1])
+        num_warps = warps[cta_index]
+        if per_warps is not None:
+            per_warp = per_warps[cta_index]
             wt = init + per_warp * cost_total
             wi = init + per_warp * cost_total * issue_frac
             warp_total = [wt] * num_warps
             warp_issue = [wi] * num_warps
         else:
+            if items is None:
+                items = spec.thread_items[start:stop]
             thread_total = items * cost_total
             warp_starts = np.arange(0, n, WARP_SIZE)
             warp_max = np.maximum.reduceat(thread_total, warp_starts)
@@ -433,23 +481,28 @@ class GPUSimulator:
             warp_issue = (init + warp_max * issue_frac).tolist()
 
         decisions: List[PendingDecision] = []
-        if spec.child_requests:
-            for tid in range(start, stop):
-                reqs = spec.child_requests.get(tid)
-                if not reqs:
-                    continue
+        if dec_tids is not None:
+            child_requests = spec.child_requests
+            pos = bisect_left(dec_tids, start)
+            end = len(dec_tids)
+            while pos < end:
+                tid = dec_tids[pos]
+                if tid >= stop:
+                    break
+                pos += 1
                 warp = (tid - start) // WARP_SIZE
-                for req in reqs:
+                wt_warp = warp_total[warp]
+                for req in child_requests[tid]:
                     decisions.append(
                         PendingDecision(
-                            at_consumed=req.at_fraction * warp_total[warp],
+                            at_consumed=req.at_fraction * wt_warp,
                             warp=warp,
                             tid=tid,
                             request=req,
                         )
                     )
 
-        cta = CTAInstance(
+        cta = _make_cta(
             kernel,
             cta_index,
             num_threads=spec.threads_per_cta,
@@ -461,11 +514,10 @@ class GPUSimulator:
             decisions=decisions,
             demand_scale=self.latency_hiding,
         )
-        executed = int(items.sum())
         if kernel.is_child:
-            self.stats.items_in_child += executed
+            self.stats.items_in_child += executed_sums[cta_index]
         else:
-            self.stats.items_in_parent += executed
+            self.stats.items_in_parent += executed_sums[cta_index]
         self._place_on_smx(cta, smx, now)
 
     def _place_on_smx(self, cta: CTAInstance, smx: SMX, now: float) -> None:
@@ -659,11 +711,105 @@ class GPUSimulator:
         issue = header * req.cycles_per_item + self.api_call_cycles
         cta.extend_thread(decision.warp, decision.tid, total, issue)
 
+    def _child_spec(self, req: ChildRequest, depth: int) -> KernelSpec:
+        """``spec_from_request`` with cached grid arrays, validation-free.
+
+        The produced spec is field-for-field what
+        :func:`~repro.sim.kernel.spec_from_request` builds (the
+        ``__post_init__`` checks it skips are guaranteed-true for specs
+        derived from an already-validated :class:`ChildRequest`).  The
+        ``thread_items`` array and the attached dispatch cache are shared
+        across identical requests — the engine only ever reads them.
+        """
+        key = (
+            req.items,
+            req.items_per_thread,
+            req.mem_stride,
+            req.cta_threads,
+            tuple(sorted(req.nested)) if req.nested else (),
+        )
+        template = self._child_templates.get(key)
+        if template is None:
+            num_threads = req.num_threads
+            items = np.full(num_threads, req.items_per_thread, dtype=np.int64)
+            items[-1] = req.items - (num_threads - 1) * req.items_per_thread
+            offsets = (
+                np.arange(num_threads, dtype=np.int64)
+                * req.items_per_thread
+                * req.mem_stride
+            )
+            tpc = min(req.cta_threads, num_threads)
+            num_ctas = -(-num_threads // tpc)
+            starts = np.arange(num_ctas, dtype=np.int64) * tpc
+            stops = np.minimum(starts + tpc, num_threads)
+            sizes = stops - starts
+            warps = ((sizes + (WARP_SIZE - 1)) // WARP_SIZE).tolist()
+            prefix = np.zeros(num_threads + 1, dtype=np.int64)
+            np.cumsum(items, out=prefix[1:])
+            executed = (prefix[stops] - prefix[starts]).tolist()
+            per_warp = np.where(
+                sizes > 1, items[starts], items[stops - 1]
+            ).tolist()
+            # mem_bases = mem_base + offsets, so the per-CTA footprint
+            # base is mem_base + offsets[start] and the extent is
+            # mem_base-independent.
+            rel_bases = offsets[starts].tolist()
+            extents = (
+                offsets[stops - 1] - offsets[starts]
+                + items[stops - 1] * req.mem_stride
+            ).tolist()
+            dec_tids = sorted(req.nested) if req.nested else None
+            template = (
+                num_threads,
+                items,
+                offsets,
+                starts.tolist(),
+                stops.tolist(),
+                sizes.tolist(),
+                warps,
+                executed,
+                per_warp,
+                rel_bases,
+                extents,
+                dec_tids,
+            )
+            self._child_templates[key] = template
+        (num_threads, items, offsets, starts, stops, sizes, warps, executed,
+         per_warp, rel_bases, extents, dec_tids) = template
+        mem_base = req.mem_base
+        if mem_base:
+            bases = [mem_base + rel for rel in rel_bases]
+        else:
+            bases = rel_bases
+        spec = KernelSpec.__new__(KernelSpec)
+        spec.name = req.name
+        spec.threads_per_cta = min(req.cta_threads, num_threads)
+        spec.thread_items = items
+        spec.regs_per_thread = req.regs_per_thread
+        spec.shmem_per_cta = req.shmem_per_cta
+        spec.cycles_per_item = req.cycles_per_item
+        spec.accesses_per_item = req.accesses_per_item
+        spec.mem_bases = mem_base + offsets
+        spec.mem_stride = req.mem_stride
+        spec.child_requests = {
+            tid: list(reqs) for tid, reqs in req.nested.items()
+        }
+        spec.header_items = 2
+        spec.depth = depth
+        spec.contiguous_footprint = True
+        spec._dispatch_cache = (
+            starts, stops, sizes, warps, executed, per_warp, bases, extents,
+            dec_tids,
+        )
+        return spec
+
     def _make_child_kernel(
         self, parent: KernelInstance, parent_cta: CTAInstance, req: ChildRequest
     ) -> KernelInstance:
-        child_spec = spec_from_request(req, depth=parent.spec.depth + 1)
-        stream = self.stream_policy.stream_for(parent.kernel_id, parent_cta.cta_index)
+        child_spec = self._child_spec(req, parent.spec.depth + 1)
+        stream = self.stream_policy.stream_for(
+            parent.kernel_id, parent_cta.cta_index
+        )
         child = KernelInstance(
             next(self._kernel_ids),
             child_spec,
@@ -713,11 +859,7 @@ class GPUSimulator:
                 self.launch_unit.submit_batch([merged])
 
     def _flush_merge_group(self, entries: list, now: float) -> KernelInstance:
-        """Turn one compat group of buffered requests into a merged kernel.
-
-        Shared between engines (the fast core does not override it), so the
-        construction, stats, and trace events are bit-identical by design.
-        """
+        """Turn one compat group of buffered requests into a merged kernel."""
         reqs = [entry[2] for entry in entries]
         leader = entries[0][0]
         parent = leader.kernel
@@ -783,15 +925,18 @@ class GPUSimulator:
     # Completion handling
     # ------------------------------------------------------------------
     def _reschedule_smx(self, smx: SMX) -> None:
-        event = self._smx_events[smx.index]
+        events = self._smx_events
+        i = smx.index
+        event = events[i]
         if event is not None:
             event.cancel()
-            self._smx_events[smx.index] = None
-        when = smx.next_event_time(self.queue.now)
+            events[i] = None
+        queue = self.queue
+        now = queue.now
+        when = smx.next_event_time(now)
         if when is not None:
-            self._smx_events[smx.index] = self.queue.schedule(
-                max(when, self.queue.now),
-                lambda s=smx: self._on_smx_event(s),
+            events[i] = queue.schedule(
+                when if when > now else now, self._smx_callbacks[i]
             )
 
     def _on_smx_event(self, smx: SMX) -> None:
@@ -818,7 +963,7 @@ class GPUSimulator:
             when = smx.next_event_time(now)
             if when is not None:
                 self._smx_events[smx.index] = self.queue.schedule(
-                    max(when, now + 1e-3), lambda s=smx: self._on_smx_event(s)
+                    max(when, now + 1e-3), self._smx_callbacks[smx.index]
                 )
 
     def _detach_cta(self, cta: CTAInstance, smx: SMX, now: float) -> None:
@@ -947,3 +1092,123 @@ class GPUSimulator:
             regs=self._res_regs,
             shmem=self._res_shmem,
         )
+
+
+def _spec_dispatch_cache(spec: KernelSpec) -> tuple:
+    """Per-spec dispatch constants, cached on the spec instance.
+
+    Everything here is a pure function of the (immutable) spec content:
+    per-CTA thread ranges, warp counts, executed-item sums (via an int64
+    prefix sum — exact), and for contiguous child grids the per-CTA
+    footprint base/extent and uniform per-warp item count.
+    """
+    cache = spec.__dict__.get("_dispatch_cache")
+    if cache is not None:
+        return cache
+    tpc = spec.threads_per_cta
+    num_threads = spec.num_threads
+    num_ctas = spec.num_ctas
+    thread_items = spec.thread_items
+    starts = np.arange(num_ctas, dtype=np.int64) * tpc
+    stops = np.minimum(starts + tpc, num_threads)
+    sizes = stops - starts
+    num_warps = ((sizes + (WARP_SIZE - 1)) // WARP_SIZE).tolist()
+    prefix = np.zeros(num_threads + 1, dtype=np.int64)
+    np.cumsum(thread_items, out=prefix[1:])
+    executed = (prefix[stops] - prefix[starts]).tolist()
+    if spec.contiguous_footprint:
+        per_warp = np.where(
+            sizes > 1, thread_items[starts], thread_items[stops - 1]
+        ).tolist()
+    else:
+        per_warp = None
+    if spec.contiguous_footprint and spec.mem_bases is not None:
+        mem_bases = spec.mem_bases
+        first = mem_bases[starts]
+        extents = (
+            mem_bases[stops - 1] - first
+            + thread_items[stops - 1] * spec.mem_stride
+        )
+        bases = first.tolist()
+        extents = extents.tolist()
+    else:
+        bases = None
+        extents = None
+    dec_tids = sorted(spec.child_requests) if spec.child_requests else None
+    cache = (
+        starts.tolist(),
+        stops.tolist(),
+        sizes.tolist(),
+        num_warps,
+        executed,
+        per_warp,
+        bases,
+        extents,
+        dec_tids,
+    )
+    spec._dispatch_cache = cache
+    return cache
+
+
+def _make_cta(
+    kernel: KernelInstance,
+    cta_index: int,
+    *,
+    num_threads: int,
+    num_warps: int,
+    regs: int,
+    shmem: int,
+    warp_total: List[float],
+    warp_issue: List[float],
+    decisions: List[PendingDecision],
+    demand_scale: float,
+) -> CTAInstance:
+    """Validation-free :class:`CTAInstance` construction.
+
+    Field-for-field (and float-operation-for-float-operation) what
+    ``CTAInstance.__init__`` assigns, minus the three consistency raises —
+    all guaranteed-true for CTAs the dispatch path itself materializes
+    (warp arrays built to ``num_warps``, positive critical paths, decision
+    points derived from warp totals).  The ``decisions`` list is owned by
+    the caller and never reused, so aliasing it is safe.
+    """
+    cta = CTAInstance.__new__(CTAInstance)
+    cta.kernel = kernel
+    cta.cta_index = cta_index
+    cta.num_threads = num_threads
+    cta.num_warps = num_warps
+    cta.regs = regs
+    cta.shmem = shmem
+    cta.consumed = 0.0
+    cta.warp_total = warp_total
+    cta.warp_issue = warp_issue
+    cta.warp_base_total = warp_total
+    cta.warp_base_issue = warp_issue
+    cta._thread_extra = None
+    cta._warp_extra = None
+    cta.demand_scale = demand_scale
+    demand = 0.0
+    for total, issue in zip(warp_total, warp_issue):
+        demand += min(issue / total, 1.0) if total > 0 else 1.0
+    cta.demand = max(demand * demand_scale, 1e-3)
+    cta.state = CTAState.RUNNING
+    cta.smx_index = -1
+    cta.dispatch_time = 0.0
+    cta.compute_done_time = None
+    cta.outstanding_children = 0
+    if decisions:
+        decisions.sort(key=_decision_key)
+        cta.decisions = decisions
+        cta.next_decision = 0
+        cta.total_work = max(warp_total)
+        cta.next_target = decisions[0].at_consumed
+    else:
+        cta.decisions = decisions
+        cta.next_decision = 0
+        cta.total_work = max(warp_total)
+        cta.next_target = cta.total_work
+    return cta
+
+
+def _decision_key(d: PendingDecision) -> float:
+    return d.at_consumed

@@ -76,6 +76,12 @@ class GMU:
         self.peak_pending_kernels = 0
         self.kernels_submitted = 0
         self._pending_count = 0
+        #: Bound-stream heads in EXECUTING state with undispatched CTAs —
+        #: exactly the set :meth:`dispatchable_kernels` yields.  Heads
+        #: enter it on the PENDING -> EXECUTING transition (a fresh head
+        #: has all its CTAs left) and leave it through
+        #: :meth:`note_cta_taken`.
+        self._dispatchable = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -169,7 +175,15 @@ class GMU:
     def _refresh_head(self, swq: int) -> None:
         queue = self._streams.get(swq)
         if queue and queue[0].state is KernelState.PENDING:
-            queue[0].state = KernelState.EXECUTING
+            head = queue[0]
+            head.state = KernelState.EXECUTING
+            if head.next_cta_index < head.num_ctas:
+                self._dispatchable += 1
+
+    def note_cta_taken(self, kernel: KernelInstance) -> None:
+        """Engine hook: a CTA index was just consumed from ``kernel``."""
+        if kernel.next_cta_index >= kernel.num_ctas:
+            self._dispatchable -= 1
 
     # ------------------------------------------------------------------
     # Dispatch iteration
@@ -179,9 +193,17 @@ class GMU:
 
         The cursor persists across calls so successive dispatch rounds
         rotate fairly over streams, like the RR CTA scheduler in Table II.
-        This is the dispatch loop's inner scan, so the head checks are
-        plain attribute reads (no property dispatch).
+        When nothing can dispatch (the dominant case in steady state) the
+        scan is skipped without touching the cursor, which is also what a
+        scan that yields nothing does.
         """
+        if self._dispatchable <= 0:
+            return iter(())
+        return self._scan()
+
+    def _scan(self) -> Iterator[KernelInstance]:
+        # The dispatch loop's inner scan, so the head checks are plain
+        # attribute reads (no property dispatch).
         bound = self._bound_list
         if not bound:
             return

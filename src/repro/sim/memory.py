@@ -232,7 +232,31 @@ class MemorySystem:
         With L1s enabled and a valid ``smx_index``, lines first probe that
         SMX's L1; only L1 misses reach the shared L2 (so the reported L2
         hit rate is over L1 misses, as hardware counters report it).
+
+        The engine's footprint calls are overwhelmingly single-region
+        (every contiguous child CTA, every serial fallback, every launch
+        header); for those the line stream is a ``range`` handed straight
+        to the cache instead of an appended list.  A lone region has no
+        consecutive duplicates to collapse, and the stride-sampling
+        formula indexes the arithmetic sequence directly, so the streamed
+        lines are identical to :meth:`region_lines`.
         """
+        if len(regions) == 1:
+            base, extent = regions[0]
+            if extent <= 0:
+                lines = ()
+            else:
+                line_bytes = self.l2.line_bytes
+                first = base // line_bytes
+                last = (base + extent - 1) // line_bytes
+                count = last - first + 1
+                max_lines = self.max_lines_per_cta
+                if count > max_lines:
+                    step = count / max_lines
+                    lines = [first + int(i * step) for i in range(max_lines)]
+                else:
+                    lines = range(first, last + 1)
+            return self._access_lines(lines, smx_index, now)
         return self._access_lines(self.region_lines(regions), smx_index, now)
 
     def cta_access_arrays(

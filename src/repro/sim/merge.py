@@ -3,8 +3,9 @@
 Both merging schemes buffer admitted :class:`~repro.sim.kernel.ChildRequest`
 launches and submit them later as one coarser kernel.  This module builds
 that kernel's :class:`~repro.sim.kernel.KernelSpec` so the construction is
-shared — and therefore bit-identical — between the default and fast engine
-cores (neither overrides it).
+shared — and therefore bit-identical — between the engine and the
+per-event reference (:mod:`repro.check.reference`), which does not
+override it.
 
 **CTA conservation.**  The merged grid must contain exactly as many CTAs as
 the constituents would have launched individually (the conformance checker

@@ -16,8 +16,8 @@ Offline-Search sweep grid must be
   Offline-Search winner;
 
 and the service integration must keep every ledger invariant intact
-while tuning: seeded traffic converges to the Offline-Search-best arm
-on both engines, converged steady-state results are bit-identical to a
+while tuning: seeded traffic converges to the Offline-Search-best arm,
+converged steady-state results are bit-identical to a
 serial :meth:`Runner.run`, and neither worker kills nor a flaky store
 backend can lose a request (``lost == 0``,
 ``submitted == completed + failed + shed + in_flight``).
@@ -357,7 +357,7 @@ def offline_best():
     return f"threshold:{best}"
 
 
-def converge_service(engine, *, faults=None, runner=None, extra=3):
+def converge_service(*, faults=None, runner=None, extra=3):
     """Drive sequential tunable requests until the pair converges.
 
     Sequential submit-await (not a burst): each completion must land
@@ -371,17 +371,13 @@ def converge_service(engine, *, faults=None, runner=None, extra=3):
     async def main():
         async with SimulationService(runner, config=config, faults=faults) as svc:
             for _ in range(80):
-                job = await svc.submit(
-                    RunConfig(benchmark=BENCH, scheme="spawn", engine=engine)
-                )
+                job = await svc.submit(RunConfig(benchmark=BENCH, scheme="spawn"))
                 await job.result()
                 if svc.stats().autotune[PAIR]["converged"]:
                     break
             steady = []
             for _ in range(extra):
-                job = await svc.submit(
-                    RunConfig(benchmark=BENCH, scheme="spawn", engine=engine)
-                )
+                job = await svc.submit(RunConfig(benchmark=BENCH, scheme="spawn"))
                 steady.append(await job.result())
             return svc.stats(), steady
 
@@ -389,15 +385,14 @@ def converge_service(engine, *, faults=None, runner=None, extra=3):
 
 
 class TestServiceConvergence:
-    @pytest.mark.parametrize("engine", ["default", "fast"])
     def test_seeded_traffic_converges_to_the_offline_best_arm(
-        self, engine, offline_best
+        self, offline_best
     ):
-        stats, _ = converge_service(engine)
+        stats, _ = converge_service()
         snap = stats.autotune[PAIR]
         assert snap["converged"], snap
-        # Both engines minimise the same (certified bit-identical)
-        # makespan, so both land on the Offline-Search winner.
+        # The tuner minimises makespan, so it lands on the Offline-Search
+        # winner.
         assert snap["incumbent"] == offline_best
         assert stats.autotuned == stats.submitted
         assert_ledger_invariants(stats)
@@ -405,15 +400,13 @@ class TestServiceConvergence:
     def test_converged_steady_state_is_bit_identical_to_serial_run(
         self, offline_best
     ):
-        _, steady = converge_service("default")
-        expected = Runner().run(
-            RunConfig(benchmark=BENCH, scheme=offline_best, engine="default")
-        )
+        _, steady = converge_service()
+        expected = Runner().run(RunConfig(benchmark=BENCH, scheme=offline_best))
         for result in steady:
             assert result.to_dict() == expected.to_dict()
 
     def test_repeat_pulls_are_free_cache_hits(self):
-        stats, _ = converge_service("default", extra=0)
+        stats, _ = converge_service(extra=0)
         arms = len(arm_grid(BENCH, THRESHOLD_FAMILY))
         # Only the unique arms ever reach the pool; every repeat pull is
         # answered from cache (that is what makes online tuning cheap).
@@ -426,9 +419,7 @@ class TestServiceConvergence:
 # ----------------------------------------------------------------------
 class TestChaos:
     def test_worker_kill_during_tuning_keeps_ledger_invariants(self):
-        stats, steady = converge_service(
-            "default", faults=FaultPlan(kill_on_dispatch=0)
-        )
+        stats, steady = converge_service(faults=FaultPlan(kill_on_dispatch=0))
         assert_ledger_invariants(stats)
         assert stats.failed == 0  # the kill was retried, not surfaced
         assert stats.autotune[PAIR]["converged"]
@@ -445,7 +436,7 @@ class TestChaos:
         self, tmp_path, offline_best
     ):
         flaky = FlakyStore(open_store(tmp_path), save_errors=3, load_errors=3)
-        stats, _ = converge_service("default", runner=Runner(store=flaky))
+        stats, _ = converge_service(runner=Runner(store=flaky))
         assert_ledger_invariants(stats)
         assert stats.failed == 0
         snap = stats.autotune[PAIR]

@@ -6,8 +6,6 @@ from repro.harness.bench import (
     BENCH_PAIRS,
     DEFAULT_MIN_SPEEDUP,
     REFERENCE,
-    compare_engines,
-    compare_regressions,
     default_output_path,
     regressions,
     run_bench,
@@ -38,77 +36,6 @@ class TestRunBench:
     def test_default_pairs_have_references(self):
         for name, scheme in BENCH_PAIRS:
             assert f"{name}/{scheme}" in REFERENCE
-
-    def test_engine_selects_the_core_and_rides_in_the_report(self):
-        report = run_bench(pairs=CHEAP[:1], repeat=1, engine="fast")
-        assert report["engine"] == "fast"
-        assert report["pairs"][0]["makespan"] > 0
-
-
-class TestCompareEngines:
-    def test_matrix_shape_and_bit_identity(self):
-        report = compare_engines(pairs=CHEAP, repeat=1)
-        assert report["mode"] == "compare-engines"
-        assert report["engines"] == ["default", "fast"]
-        assert report["baseline_engine"] == "default"
-        assert set(report["aggregate_seconds"]) == {"default", "fast"}
-        assert set(report["aggregate_speedup"]) == {"fast"}
-        for row in report["pairs"]:
-            default_entry = row["engines"]["default"]
-            fast_entry = row["engines"]["fast"]
-            assert "speedup" not in default_entry  # the baseline
-            assert fast_entry["speedup"] > 0
-            # The certified contract, enforced at bench time: both
-            # engines produce the same makespan bit-for-bit.
-            assert fast_entry["makespan"] == default_entry["makespan"]
-            assert fast_entry["makespan_identical"] is True
-        referenced = {
-            row["pair"]: row for row in report["pairs"]
-            if "reference_makespan_identical" in row
-        }
-        assert referenced["BFS-graph500/spawn"][
-            "reference_makespan_identical"
-        ] is True
-
-    def test_rejects_fewer_than_two_engines(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            compare_engines(pairs=CHEAP[:1], engines=("default",))
-
-
-class TestCompareRegressions:
-    REPORT = {
-        "pairs": [
-            {
-                "pair": "a/spawn",
-                "engines": {
-                    "default": {"seconds": 1.0},
-                    "fast": {"seconds": 2.0, "speedup": 0.5},
-                },
-            },
-            {
-                "pair": "b/spawn",
-                "engines": {
-                    "default": {"seconds": 1.0},
-                    "fast": {"seconds": 0.8, "speedup": 1.25},
-                },
-            },
-        ]
-    }
-
-    def test_flags_only_entries_below_threshold(self):
-        regressed = compare_regressions(self.REPORT, 0.9)
-        assert regressed == [
-            {"pair": "a/spawn", "engine": "fast", "speedup": 0.5}
-        ]
-
-    def test_baseline_entries_never_regress(self):
-        rows = compare_regressions(self.REPORT, 100.0)
-        assert all(row["engine"] != "default" for row in rows)
-
-    def test_empty_report_is_clean(self):
-        assert compare_regressions({}, 1.0) == []
 
 
 class TestRegressions:

@@ -1,15 +1,17 @@
-"""Differential validation of optimized engine components (``repro.check``).
+"""Differential validation of the engine against the per-event reference.
 
 Fast layer: the naive reference components (list-based event queue,
 list-ordered LRU) behave identically to their optimized counterparts on
-randomized unit workloads, and one fixed end-to-end app produces identical
-traces through both engines.
+randomized unit workloads, and every scheme produces identical traces
+through the engine and :class:`~repro.check.ReferenceSimulator` on one
+fixed app.
 
 Slow layer (``-m slow``): hypothesis-generated applications from the shared
-``tests.strategies`` module run through ``run_differential`` — the optimized
-engine (binary-heap queue with lazy cancellation and compaction, cached
-``next_event_time``, OrderedDict LRU) must produce a bit-identical event
-stream and ``SimStats`` against the pure-Python references.
+``tests.strategies`` module run through ``run_differential`` — the engine
+(calendar queue with batch drains, parallel-array SMX progress with a
+cached horizon, dispatch caches and child-grid templates, OrderedDict LRU)
+must produce a bit-identical event stream and ``SimStats`` against the
+per-event pure-Python reference.
 """
 
 import pytest
@@ -17,12 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check import ReferenceEventQueue, run_differential
-from repro.check.reference import ReferenceLRUCache
+from repro.check.golden import canonical_events, diff_traces
+from repro.check.reference import ReferenceLRUCache, ReferenceSimulator
 from repro.core.policies import SpawnPolicy
+from repro.harness import schemes as sch
+from repro.harness.runner import Runner
+from repro.harness.sweep import offline_search
+from repro.obs.tracer import Tracer
 from repro.sim.config import CacheConfig, GPUConfig, small_debug_gpu
 from repro.sim.engine import GPUSimulator
 from repro.sim.events import EventQueue
 from repro.sim.memory import SetAssociativeCache
+from repro.workloads import get_benchmark
 
 from tests.strategies import POLICIES, micro_apps, policies, rich_apps
 
@@ -53,8 +61,8 @@ def queue_scripts(draw):
 @settings(max_examples=80, deadline=None)
 def test_event_queue_matches_reference(script):
     times, cancels = script
-    order = {"heap": [], "ref": []}
-    queues = {"heap": EventQueue(), "ref": ReferenceEventQueue()}
+    order = {"engine": [], "ref": []}
+    queues = {"engine": EventQueue(), "ref": ReferenceEventQueue()}
     for name, queue in queues.items():
         handles = [
             queue.schedule(t, lambda n=name, i=i: order[n].append(i))
@@ -63,8 +71,8 @@ def test_event_queue_matches_reference(script):
         for index in cancels:
             handles[index].cancel()
         queue.run()
-    assert order["heap"] == order["ref"]
-    assert queues["heap"].now == queues["ref"].now
+    assert order["engine"] == order["ref"]
+    assert queues["engine"].now == queues["ref"].now
 
 
 @given(
@@ -92,48 +100,60 @@ def test_reference_queue_pop_and_peek():
     assert queue.now == 1.0
 
 
-def test_fixed_app_differential_is_clean():
-    from repro.workloads import get_benchmark
+def _run_traced(sim_cls, app, config, policy_factory):
+    tracer = Tracer()
+    sim = sim_cls(config=config, policy=policy_factory(), tracer=tracer)
+    result = sim.run(app)
+    return canonical_events(tracer.events()), result.stats.to_dict()
 
+
+def test_fixed_app_differential_is_clean():
     app = get_benchmark("MM-small").dp(1)
     mismatch = run_differential(app, policy_factory=SpawnPolicy)
     assert mismatch is None
 
 
-@pytest.mark.parametrize("engine", ["default", "fast"])
-@pytest.mark.parametrize(
-    "policy_idx", range(6, len(POLICIES)), ids=lambda i: POLICIES[i]().name
+#: Every scheme the harness runs, plus the merge granularities outside
+#: DP_SCHEMES (consolidate batch size, warp/grid aggregation).
+SCHEMES = ("flat",) + sch.DP_SCHEMES + (
+    "consolidate:2", "aggregate:warp", "aggregate:grid",
 )
-def test_fixed_app_merge_policy_differential(engine, policy_idx):
-    """Consolidate/aggregate flushes are identical through the optimized,
-    fast, and naive-reference engines on a fixed DP app."""
-    from repro.workloads import get_benchmark
-
-    app = get_benchmark("MM-small").dp(1)
-    mismatch = run_differential(
-        app, policy_factory=POLICIES[policy_idx], engine=engine
-    )
-    assert mismatch is None, str(mismatch)
 
 
-@pytest.mark.parametrize("engine", ["default", "fast"])
-def test_fixed_app_acs_differential(engine):
-    """ACS binding order is identical through all three engines under
-    HWQ contention (2 HWQs force the wait queue to fill)."""
-    from repro.core.policies import StaticThresholdPolicy
-    from repro.workloads import get_benchmark
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_scheme_differential_is_clean(scheme):
+    """Engine and per-event reference agree event-for-event on MM-small.
 
+    ``acs`` runs with 2 HWQs so its binding order is exercised under
+    contention; ``offline`` runs its Offline-Search threshold.
+    """
     bench = get_benchmark("MM-small")
+    if scheme == sch.OFFLINE:
+        best, _ = offline_search(Runner(), bench.name)
+        scheme = f"threshold:{best}"
+    spec = sch.SchemeSpec.parse(scheme)
+    app = bench.flat(1) if spec.variant == "flat" else bench.dp(1)
+    acs = spec.bind_policy == sch.ACS
     mismatch = run_differential(
-        bench.dp(1),
-        config=GPUConfig(num_hwq=2),
-        policy_factory=lambda: StaticThresholdPolicy(
-            bench.default_threshold
-        ),
-        sim_kwargs={"bind_policy": "acs"},
-        engine=engine,
+        app,
+        config=GPUConfig(num_hwq=2) if acs else None,
+        policy_factory=lambda: sch.make_policy(spec, bench),
+        sim_kwargs={"bind_policy": spec.bind_policy} if acs else None,
     )
     assert mismatch is None, str(mismatch)
+
+
+@given(app=micro_apps(), policy_idx=st.integers(min_value=0, max_value=5))
+@settings(max_examples=10, deadline=None)
+def test_engine_matches_reference_on_micro_apps(app, policy_idx):
+    config = small_debug_gpu()
+    ref_events, ref_stats = _run_traced(
+        ReferenceSimulator, app, config, POLICIES[policy_idx]
+    )
+    events, stats = _run_traced(GPUSimulator, app, config, POLICIES[policy_idx])
+    divergence = diff_traces(ref_events, events)
+    assert divergence is None, str(divergence)
+    assert stats == ref_stats
 
 
 # ---------------------------------------------------------------------------

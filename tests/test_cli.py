@@ -166,27 +166,26 @@ class TestSuiteCacheBench:
         cache = tmp_path / "cache"
         code, text = run_cli(
             "suite", "--experiments", "fig19", "--jobs", "1",
-            "--cache-dir", str(cache),
+            "--store", str(cache),
         )
         assert code == 0
         assert "fig19" in text
         assert cache.is_dir()  # results were persisted
 
     def test_cache_stats_and_clear(self, tmp_path):
-        code, text = run_cli("cache", "stats", "--cache-dir", str(tmp_path))
+        code, text = run_cli("cache", "stats", "--store", str(tmp_path))
         assert code == 0
         assert "entries" in text
-        code, text = run_cli("cache", "clear", "--cache-dir", str(tmp_path))
+        code, text = run_cli("cache", "clear", "--store", str(tmp_path))
         assert code == 0
         assert "removed 0 entries" in text
 
 
-def canned_bench_report(*, speedup=2.0, identical=True, engine="default"):
+def canned_bench_report(*, speedup=2.0, identical=True):
     """A minimal run_bench-shaped report for exercising the CLI gate."""
     return {
         "repeat": 1,
         "seed": 1,
-        "engine": engine,
         "pairs": [
             {
                 "pair": "SA-thaliana/spawn",
@@ -209,9 +208,7 @@ class TestBenchGate:
 
         monkeypatch.setattr(
             bench, "run_bench",
-            lambda *, repeat, seed, engine="default": canned_bench_report(
-                engine=engine, **kwargs
-            ),
+            lambda *, repeat, seed, store=None: canned_bench_report(**kwargs),
         )
 
     def test_healthy_run_exits_zero(self, monkeypatch, tmp_path):
@@ -261,106 +258,26 @@ class TestBenchGate:
         assert code == 2
 
 
-def canned_compare_report(*, speedup=1.3, identical=True):
-    """A minimal compare_engines-shaped report for the CLI gate."""
-    return {
-        "mode": "compare-engines",
-        "repeat": 1,
-        "seed": 1,
-        "engines": ["default", "fast"],
-        "baseline_engine": "default",
-        "aggregate_seconds": {"default": 1.3, "fast": 1.0},
-        "aggregate_speedup": {"fast": speedup},
-        "pairs": [
-            {
-                "pair": "SA-thaliana/spawn",
-                "engines": {
-                    "default": {"seconds": 1.3, "makespan": 42.0},
-                    "fast": {
-                        "seconds": 1.0,
-                        "makespan": 42.0 if identical else 43.0,
-                        "speedup": speedup,
-                        "makespan_identical": identical,
-                    },
-                },
-                "reference_makespan_identical": True,
-            }
+class TestRemovedFlags:
+    """One engine and one store flag: the old selectors are gone."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "MM-small", "--engine", "default"],
+            ["suite", "--engine", "default"],
+            ["check", "--engine", "default"],
+            ["bench", "--engine", "default"],
+            ["bench", "--compare-engines"],
+            ["serve", "--engine", "default"],
+            ["perf", "--engine", "default"],
+            ["cache", "stats", "--cache-dir", "x"],
         ],
-    }
-
-
-class TestEngineFlags:
-    """The --engine flag across commands, plus bench --compare-engines."""
-
-    def test_run_parser_engine_default_and_choices(self):
-        args = build_parser().parse_args(["run", "MM-small"])
-        assert args.engine == "default"
-        args = build_parser().parse_args(
-            ["run", "MM-small", "--engine", "fast"]
-        )
-        assert args.engine == "fast"
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv if a != "MM-small"),
+    )
+    def test_removed_flag_is_rejected(self, argv):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "MM-small", "--engine", "warp"])
-
-    def test_every_engine_command_accepts_the_flag(self):
-        for command in (["run", "MM-small"], ["suite"], ["check"],
-                        ["bench"], ["serve"], ["perf"]):
-            args = build_parser().parse_args(command + ["--engine", "fast"])
-            assert args.engine == "fast", command
-
-    def test_run_fast_engine_matches_default(self):
-        code, fast_text = run_cli(
-            "run", "MM-small", "--scheme", "spawn", "--engine", "fast",
-            "--json",
-        )
-        assert code == 0
-        code, default_text = run_cli(
-            "run", "MM-small", "--scheme", "spawn", "--json"
-        )
-        assert code == 0
-        # Certified bit-identical: the whole JSON summary must match.
-        assert json.loads(fast_text) == json.loads(default_text)
-
-    def test_check_update_golden_refuses_candidate_engines(self, capsys):
-        code, _ = run_cli("check", "--update-golden", "--engine", "fast")
-        assert code == 2
-        assert "default engine" in capsys.readouterr().err
-
-    def fake_compare(self, monkeypatch, **kwargs):
-        import repro.harness.bench as bench
-
-        monkeypatch.setattr(
-            bench, "compare_engines",
-            lambda *, repeat, seed: canned_compare_report(**kwargs),
-        )
-
-    def test_compare_engines_writes_matrix_report(self, monkeypatch, tmp_path):
-        self.fake_compare(monkeypatch)
-        out = tmp_path / "BENCH.json"
-        code, text = run_cli("bench", "--compare-engines", "--output", str(out))
-        assert code == 0
-        assert "aggregate speedup" in text
-        report = json.loads(out.read_text())
-        assert report["mode"] == "compare-engines"
-
-    def test_compare_engines_min_speedup_gate(self, monkeypatch, tmp_path):
-        self.fake_compare(monkeypatch, speedup=0.8)
-        out = tmp_path / "BENCH.json"
-        code, _ = run_cli(
-            "bench", "--compare-engines", "--output", str(out),
-            "--min-speedup", "0.9",
-        )
-        assert code == 1
-        assert out.is_file()  # evidence written before the gate fired
-
-    def test_compare_engines_makespan_mismatch_fails(
-        self, monkeypatch, tmp_path
-    ):
-        self.fake_compare(monkeypatch, identical=False)
-        out = tmp_path / "BENCH.json"
-        code, _ = run_cli("bench", "--compare-engines", "--output", str(out))
-        assert code == 1
-        assert out.is_file()
+            build_parser().parse_args(argv)
 
 
 class TestServe:

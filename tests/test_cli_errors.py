@@ -46,18 +46,18 @@ class TestAuditErrors:
 class TestCacheErrors:
     def test_stats_on_missing_dir(self, tmp_path):
         missing = tmp_path / "never-created"
-        code, text = run_cli("cache", "stats", "--cache-dir", str(missing))
+        code, text = run_cli("cache", "stats", "--store", str(missing))
         assert code == 0
         assert "entries" in text and not missing.exists()
 
     def test_clear_on_empty_dir(self, tmp_path):
-        code, text = run_cli("cache", "clear", "--cache-dir", str(tmp_path))
+        code, text = run_cli("cache", "clear", "--store", str(tmp_path))
         assert code == 0
         assert "removed 0 entries" in text
 
     def test_stats_ignores_foreign_files(self, tmp_path):
         (tmp_path / "README.txt").write_text("not a cache entry")
-        code, text = run_cli("cache", "stats", "--cache-dir", str(tmp_path))
+        code, text = run_cli("cache", "stats", "--store", str(tmp_path))
         assert code == 0
         assert "entries" in text
 

@@ -240,3 +240,27 @@ class TestDefaultBucketLadders:
             assert all(a < b for a, b in zip(ladder, ladder[1:]))
             assert all(b > 0 for b in ladder)
             assert not math.isinf(ladder[-1])
+
+
+class TestRunnerIntegration:
+    """The runner reports into :data:`METRICS` (what ``run --profile`` reads)."""
+
+    def test_runner_times_simulations_and_counts_cache(self):
+        from repro.harness.runner import RunConfig, Runner
+        from repro.obs.metrics import METRICS
+
+        METRICS.clear()
+        config = RunConfig(benchmark="GC-citation", scheme="flat")
+        runner = Runner()
+        runner.run(config)
+        runner.run(config)  # cache hit
+        Runner().run(config)  # a second simulation of the same pair
+        timer = METRICS.histogram(
+            "sim.run_seconds", benchmark="GC-citation", scheme="flat"
+        )
+        # Repeats aggregate into one series: count, total, mean, max.
+        assert timer.count == 2
+        assert timer.sum > 0.0 and timer.max <= timer.sum
+        assert timer.mean == pytest.approx(timer.sum / 2)
+        assert METRICS.counter("runner.cache_hits").value == 1.0
+        assert METRICS.counter("runner.cache_misses").value == 2.0

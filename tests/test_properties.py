@@ -127,9 +127,10 @@ def test_smx_progress_is_monotone_and_bounded(warp_work, horizon):
     last = 0.0
     for step in range(1, 5):
         smx.advance(horizon * step / 4)
-        assert cta.consumed >= last
-        assert cta.consumed <= cta.total_work + 1e-6
-        last = cta.consumed
+        consumed = smx.progress(cta)
+        assert consumed >= last
+        assert consumed <= cta.total_work + 1e-6
+        last = consumed
 
 
 @given(

@@ -97,6 +97,9 @@ class TestProcessorSharing:
         cta = make_cta(work=100.0)
         smx.add(cta, 0.0)
         smx.advance(40.0)
+        assert smx.progress(cta) == pytest.approx(40.0)
+        # Progress is written back to the CTA when it leaves the SMX.
+        smx.remove(cta, 40.0)
         assert cta.consumed == pytest.approx(40.0)
         assert cta.remaining == pytest.approx(60.0)
 
@@ -104,7 +107,7 @@ class TestProcessorSharing:
         cta = make_cta(work=100.0)
         smx.add(cta, 0.0)
         smx.advance(500.0)
-        assert cta.consumed == pytest.approx(100.0)
+        assert smx.progress(cta) == pytest.approx(100.0)
 
     def test_advance_backwards_raises(self, smx):
         smx.advance(10.0)
@@ -117,7 +120,8 @@ class TestProcessorSharing:
         for cta in ctas:
             smx.add(cta, 0.0)
         smx.advance(100.0)
-        consumed_issue = sum(c.demand * c.consumed for c in ctas)
+        consumed_issue = sum(c.demand * smx.progress(c) for c in ctas)
+        assert consumed_issue > 0.0
         assert consumed_issue <= smx.capacity * 100.0 + 1e-6
 
     def test_pop_finished_detaches_done(self, smx):
@@ -154,7 +158,11 @@ class TestDecisionHorizon:
         smx.add(cta, 0.0)
         smx.advance(100.0)
         assert smx.pop_finished(100.0) == []
+        # The engine's protocol: collect fired CTAs (which syncs their
+        # progress back), process the decisions, then refresh the SMX.
+        assert smx.ctas_with_fired_decisions() == [cta]
         cta.pop_fired_decisions()
+        smx.refresh_demand(cta, 100.0)
         assert smx.pop_finished(100.0) == [cta]
 
     def test_refresh_demand_adjusts_totals(self, smx):

@@ -7,7 +7,7 @@ import pytest
 from repro.harness import store as store_mod
 from repro.harness.runner import RunConfig, Runner
 from repro.harness.store import ResultStore, open_store
-from repro.obs.profile import REGISTRY
+from repro.obs.metrics import METRICS
 from repro.sim.config import GPUConfig
 
 FAST = "GC-citation"
@@ -39,28 +39,10 @@ class TestKeying:
             RunConfig(benchmark=FAST, scheme="spawn", cta_threads=64),
             RunConfig(benchmark=FAST, scheme="spawn", stream_policy="per-parent-cta"),
             RunConfig(benchmark=FAST, scheme="spawn", trace_interval=500.0),
-            RunConfig(benchmark=FAST, scheme="spawn", engine="fast"),
         ]
         base_key = ResultStore.key_for(base, config, 1000)
         for variant in variants:
             assert ResultStore.key_for(variant, config, 1000) != base_key
-
-    def test_engine_round_trips_without_collision(self, tmp_path, config):
-        """Fast and reference results for the same run never share an entry."""
-        store = open_store(tmp_path)
-        runner = Runner(config, store=store)
-        default_cfg = RunConfig(benchmark=FAST, scheme="spawn")
-        fast_cfg = RunConfig(benchmark=FAST, scheme="spawn", engine="fast")
-        default_result = runner.run(default_cfg)
-        fast_result = runner.run(fast_cfg)
-        assert ResultStore.key_for(default_cfg, config, runner.max_events) != (
-            ResultStore.key_for(fast_cfg, config, runner.max_events)
-        )
-        # A fresh runner on the same store answers both from disk, each
-        # from its own entry, and the payloads round-trip identically.
-        reread = Runner(config, store=open_store(tmp_path))
-        assert reread.cached(default_cfg).summary() == default_result.summary()
-        assert reread.cached(fast_cfg).summary() == fast_result.summary()
 
     def test_gpu_config_and_budget_participate(self, config, run_config):
         base_key = ResultStore.key_for(run_config, config, 1000)
@@ -149,15 +131,15 @@ class TestRunnerIntegration:
         first = Runner(store=open_store(tmp_path))
         result = first.run(run_config)
         # A second runner (fresh process stand-in) answers from disk.
-        REGISTRY.counters.pop("runner.disk_hits", None)
+        disk_hits = METRICS.counter("runner.disk_hits")
+        before = disk_hits.value
         second = Runner(store=open_store(tmp_path))
         loaded = second.run(run_config)
         assert loaded.summary() == result.summary()
-        assert REGISTRY.counters.get("runner.disk_hits", 0) == 1
+        assert disk_hits.value == before + 1
         # The disk hit was promoted to memory: third call touches no disk.
-        REGISTRY.counters.pop("runner.disk_hits", None)
         second.run(run_config)
-        assert REGISTRY.counters.get("runner.disk_hits", 0) == 0
+        assert disk_hits.value == before + 1
 
     def test_cached_probe_does_not_simulate(self, tmp_path, run_config):
         warm = Runner(store=open_store(tmp_path))
@@ -184,3 +166,37 @@ class TestRunnerIntegration:
             RunConfig(benchmark=FAST, scheme="flat").key()
             != RunConfig(benchmark=FAST, scheme="flat", trace_interval=100.0).key()
         )
+
+
+class TestSchemaMigration:
+    """Entries written under schema v4 (RunConfig still keyed an engine)."""
+
+    @staticmethod
+    def _v4_key(run_config, config, max_events):
+        import dataclasses
+        import hashlib
+
+        document = {
+            "schema": 4,
+            "run": list(run_config.key()) + ["default"],
+            "gpu": dataclasses.asdict(config),
+            "max_events": max_events,
+        }
+        canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    def test_v4_entry_on_disk_is_a_clean_miss(self, tmp_path, config, run_config):
+        result = Runner(config).run(run_config)
+        store = open_store(tmp_path)
+        runner = Runner(config, store=store)
+        v4_key = self._v4_key(run_config, config, runner.max_events)
+        store.backend.save(v4_key, {"schema": 4, "result": result.to_dict()})
+        # The v5 key differs, so the v4 entry is never even looked at...
+        assert store.key_for(run_config, config, runner.max_events) != v4_key
+        assert runner.cached(run_config) is None
+        # ...and a v4 payload reached directly is dropped, not misread.
+        assert store.load(v4_key) is None
+        assert not store.contains(v4_key)
+        # The run simulates afresh and lands under the v5 key.
+        assert runner.run(run_config).summary() == result.summary()
+        assert Runner(config, store=open_store(tmp_path)).cached(run_config)
