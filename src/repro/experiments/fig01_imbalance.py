@@ -15,11 +15,12 @@ import numpy as np
 from repro.experiments.common import ExperimentResult, ensure_runner
 from repro.harness.runner import Runner
 from repro.workloads import bfs
+from repro.workloads.graphs import graph_input
 
 
 def run(runner: Optional[Runner] = None, seed: int = 1) -> ExperimentResult:
     ensure_runner(runner)
-    graph = bfs._graph("citation", seed)
+    graph = graph_input("citation", seed)
     levels = bfs._levels("citation", seed)
     frontier = max(levels, key=len)
     work = np.sort(graph.degrees[np.asarray(frontier)])[::-1]

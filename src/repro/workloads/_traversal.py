@@ -92,37 +92,33 @@ def build_round_kernels(
                 )
             )
             continue
-        num_threads = -(-active.size // vpt)
-        items = np.zeros(num_threads, dtype=np.int64)
-        bases = np.zeros(num_threads, dtype=np.int64)
+        # Thread t owns active[t*vpt : (t+1)*vpt]: it walks its light
+        # vertices' edges itself and carries one launch call per heavy one.
+        starts = np.arange(0, active.size, vpt)
+        num_threads = starts.size
+        chunk_len = np.minimum(vpt, active.size - starts)
+        heavy = deg > min_offload
+        items = costs.bookkeeping_items * chunk_len + np.add.reduceat(
+            np.where(heavy, 0, deg), starts
+        )
+        bases = edge_base + indptr[active[starts]] * EDGE_BYTES
         requests: dict = {}
-        for tid in range(num_threads):
-            chunk = active[tid * vpt : (tid + 1) * vpt]
-            chunk_deg = degrees[chunk]
-            bases[tid] = edge_base + indptr[chunk[0]] * EDGE_BYTES
-            serial_edges = 0
-            reqs = []
-            for k, v in enumerate(chunk):
-                d = int(chunk_deg[k])
-                if dp and d > min_offload:
-                    reqs.append(
-                        ChildRequest(
-                            name=f"{app_name}-r{round_idx}-v{int(v)}",
-                            items=d,
-                            cta_threads=cta_threads,
-                            regs_per_thread=costs.child_regs_per_thread,
-                            cycles_per_item=costs.cycles_per_edge,
-                            accesses_per_item=costs.accesses_per_edge,
-                            mem_base=int(edge_base + indptr[v] * EDGE_BYTES),
-                            mem_stride=EDGE_BYTES,
-                            at_fraction=(k + 0.5) / len(chunk),
-                        )
-                    )
-                else:
-                    serial_edges += d
-            items[tid] = costs.bookkeeping_items * len(chunk) + serial_edges
-            if reqs:
-                requests[tid] = reqs
+        for pos in np.flatnonzero(heavy).tolist():
+            tid, k = divmod(pos, vpt)
+            v = int(active[pos])
+            requests.setdefault(tid, []).append(
+                ChildRequest(
+                    name=f"{app_name}-r{round_idx}-v{v}",
+                    items=int(deg[pos]),
+                    cta_threads=cta_threads,
+                    regs_per_thread=costs.child_regs_per_thread,
+                    cycles_per_item=costs.cycles_per_edge,
+                    accesses_per_item=costs.accesses_per_edge,
+                    mem_base=int(edge_base + indptr[v] * EDGE_BYTES),
+                    mem_stride=EDGE_BYTES,
+                    at_fraction=(k + 0.5) / int(chunk_len[tid]),
+                )
+            )
         kernels.append(
             KernelSpec(
                 name=f"{app_name}-round{round_idx}",

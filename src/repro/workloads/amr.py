@@ -16,13 +16,12 @@ occupying a minority of the domain with a sharp intensity ramp.
 
 from __future__ import annotations
 
-import functools
 from typing import List, Optional
 
 import numpy as np
 
 from repro.sim.kernel import Application, ChildRequest, KernelSpec
-from repro.workloads.base import REGISTRY, AddressAllocator, Benchmark
+from repro.workloads.base import REGISTRY, AddressAllocator, Benchmark, input_cache
 
 GRID = 128  # coarse cells per side -> 16384 coarse cells
 BASE_ITEMS = 12  # advance/flux work per coarse cell
@@ -39,7 +38,7 @@ MIN_OFFLOAD = 8
 CHILD_CTA = 64
 
 
-@functools.lru_cache(maxsize=None)
+@input_cache
 def _error_field(seed: int) -> np.ndarray:
     """Smooth pseudo-error per coarse cell (combustion front shape)."""
     rng = np.random.default_rng(seed + 7)
@@ -55,7 +54,7 @@ def _error_field(seed: int) -> np.ndarray:
     return field.ravel()
 
 
-@functools.lru_cache(maxsize=None)
+@input_cache
 def _refinement(seed: int):
     """(refined cell ids, per-cell fine items, per-cell deep children)."""
     error = _error_field(seed)

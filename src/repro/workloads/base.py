@@ -18,6 +18,7 @@ THRESHOLD of Fig. 5 sits on top of it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -51,6 +52,17 @@ class AddressAllocator:
     @property
     def allocated_bytes(self) -> int:
         return self._next
+
+
+#: Entries each per-seed input cache keeps.  Two inputs per application
+#: times ``replicate``'s three default seeds fit; beyond that the least
+#: recently used input is rebuilt, which keeps a long-lived process (a
+#: ``serve``, a cold loop over fresh seeds) from holding every seed's
+#: graph and rounds.
+INPUT_CACHE_SIZE = 8
+
+#: Decorator for the workload modules' per-seed input builders.
+input_cache = functools.lru_cache(maxsize=INPUT_CACHE_SIZE)
 
 
 #: A variant builder: (seed, child CTA size override) -> Application.

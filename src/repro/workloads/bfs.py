@@ -9,15 +9,14 @@ motivating application (Fig. 1) and its deep-dive subject (Figs. 6, 19, 20).
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
 import numpy as np
 
 from repro.sim.kernel import Application
 from repro.workloads._traversal import TraversalCosts, build_round_kernels
-from repro.workloads.base import REGISTRY, Benchmark
-from repro.workloads.graphs import CSRGraph, bfs_levels, citation_graph, graph500_graph
+from repro.workloads.base import REGISTRY, Benchmark, input_cache
+from repro.workloads.graphs import bfs_levels, graph_input
 
 #: Degree below which the DP source has no launch site (a child kernel over
 #: a handful of edges cannot fill a warp).
@@ -26,18 +25,9 @@ MIN_OFFLOAD = 16
 COSTS = TraversalCosts(cycles_per_edge=16.0, accesses_per_edge=1.0)
 
 
-@functools.lru_cache(maxsize=None)
-def _graph(input_name: str, seed: int) -> CSRGraph:
-    if input_name == "citation":
-        return citation_graph(num_vertices=12000, edges_per_vertex=6, seed=seed)
-    if input_name == "graph500":
-        return graph500_graph(scale=14, edge_factor=16, seed=seed)
-    raise ValueError(f"unknown BFS input {input_name!r}")
-
-
-@functools.lru_cache(maxsize=None)
+@input_cache
 def _levels(input_name: str, seed: int):
-    graph = _graph(input_name, seed)
+    graph = graph_input(input_name, seed)
     source = int(np.argmax(graph.degrees))
     return tuple(bfs_levels(graph, source))
 
@@ -50,7 +40,7 @@ def build(
     cta_threads: Optional[int] = None,
 ) -> Application:
     """Build the BFS application for one input and variant."""
-    graph = _graph(input_name, seed)
+    graph = graph_input(input_name, seed)
     return build_round_kernels(
         f"BFS-{input_name}",
         graph,

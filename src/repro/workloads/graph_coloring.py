@@ -10,12 +10,11 @@ work, so Baseline-DP ~= flat there (the paper's Observation 4 outlier).
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
 from repro.sim.kernel import Application
 from repro.workloads._traversal import TraversalCosts, build_round_kernels
-from repro.workloads.base import REGISTRY, Benchmark
+from repro.workloads.base import REGISTRY, Benchmark, input_cache
 from repro.workloads.graphs import CSRGraph, citation_graph, coloring_rounds, graph500_graph
 
 MIN_OFFLOAD = 24
@@ -28,7 +27,7 @@ COSTS = TraversalCosts(cycles_per_edge=14.0, accesses_per_edge=2.0, vertices_per
 MAX_ROUNDS = 16
 
 
-@functools.lru_cache(maxsize=None)
+@input_cache
 def _graph(input_name: str, seed: int) -> CSRGraph:
     if input_name == "citation":
         return citation_graph(num_vertices=4000, edges_per_vertex=4, seed=seed)
@@ -37,10 +36,10 @@ def _graph(input_name: str, seed: int) -> CSRGraph:
     raise ValueError(f"unknown GC input {input_name!r}")
 
 
-@functools.lru_cache(maxsize=None)
+@input_cache
 def _rounds(input_name: str, seed: int):
     graph = _graph(input_name, seed)
-    return tuple(coloring_rounds(graph, seed=seed)[:MAX_ROUNDS])
+    return tuple(coloring_rounds(graph, seed=seed, max_rounds=MAX_ROUNDS))
 
 
 def build(

@@ -11,13 +11,12 @@ child kernels (Observation 4's 4% case).
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
 import numpy as np
 
 from repro.sim.kernel import Application, ChildRequest, KernelSpec
-from repro.workloads.base import REGISTRY, AddressAllocator, Benchmark
+from repro.workloads.base import REGISTRY, AddressAllocator, Benchmark, input_cache
 
 NUM_BUCKETS = 1024
 MIN_OFFLOAD = 64
@@ -31,7 +30,7 @@ BOOKKEEPING_PER_BUCKET = 16  # hash + R-tuple read done by the parent itself
 PASSES = 2
 
 
-@functools.lru_cache(maxsize=None)
+@input_cache
 def _matches(input_name: str, seed: int) -> np.ndarray:
     """Matching S-tuples per R bucket."""
     rng = np.random.default_rng(seed + 17)

@@ -13,13 +13,12 @@ One work *item* is :data:`ITERS_PER_ITEM` escape iterations of one pixel.
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
 import numpy as np
 
 from repro.sim.kernel import Application, ChildRequest, KernelSpec
-from repro.workloads.base import REGISTRY, AddressAllocator, Benchmark
+from repro.workloads.base import REGISTRY, AddressAllocator, Benchmark, input_cache
 
 WIDTH = 512
 HEIGHT = 512
@@ -35,7 +34,7 @@ THREADS_PER_CTA = 128
 PASSES = 2
 
 
-@functools.lru_cache(maxsize=None)
+@input_cache
 def _block_items(seed: int) -> np.ndarray:
     """Per-block work items from a real escape-time computation.
 
@@ -48,16 +47,20 @@ def _block_items(seed: int) -> np.ndarray:
     scale = 1.4
     xs = np.linspace(cx - scale, cx + scale, WIDTH)
     ys = np.linspace(cy - scale, cy + scale, HEIGHT)
-    c = xs[None, :] + 1j * ys[:, None]
+    c = (xs[None, :] + 1j * ys[:, None]).ravel()
+    # Iterate only the still-bounded points: ``idx``/``z``/``c`` are
+    # compacted after every step.  A point that escapes at step k was live
+    # after k steps; one that never escapes gets MAX_ITERS.
+    idx = np.arange(c.size)
     z = np.zeros_like(c)
-    iters = np.zeros(c.shape, dtype=np.int64)
-    live = np.ones(c.shape, dtype=bool)
-    for _ in range(MAX_ITERS):
-        z[live] = z[live] * z[live] + c[live]
-        escaped = live & (np.abs(z) > 2.0)
-        live &= ~escaped
-        iters[live] += 1
-        if not live.any():
+    iters = np.full(c.size, MAX_ITERS, dtype=np.int64)
+    for step in range(MAX_ITERS):
+        z = z * z + c
+        escaped = np.abs(z) > 2.0
+        iters[idx[escaped]] = step
+        bounded = ~escaped
+        idx, z, c = idx[bounded], z[bounded], c[bounded]
+        if not idx.size:
             break
     # Sum iterations per block, convert to items.
     blocks_y = HEIGHT // BLOCK

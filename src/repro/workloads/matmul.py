@@ -14,13 +14,12 @@ one output element; a row's total work is ``columns * nnz / NNZ_PER_ITEM``.
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
 import numpy as np
 
 from repro.sim.kernel import Application, ChildRequest, KernelSpec
-from repro.workloads.base import REGISTRY, AddressAllocator, Benchmark
+from repro.workloads.base import REGISTRY, AddressAllocator, Benchmark, input_cache
 
 COLUMNS = 128  # dense multiplier width
 NNZ_PER_ITEM = 8
@@ -39,7 +38,7 @@ _INPUTS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
+@input_cache
 def _row_nnz(input_name: str, seed: int) -> np.ndarray:
     try:
         rows, mu, sigma, cap = _INPUTS[input_name]

@@ -24,13 +24,12 @@ paper's Table I is a closed set):
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
 import numpy as np
 
 from repro.sim.kernel import Application, ChildRequest, KernelSpec
-from repro.workloads.base import REGISTRY, AddressAllocator, Benchmark
+from repro.workloads.base import REGISTRY, AddressAllocator, Benchmark, input_cache
 
 #: Segments below this many items have no launch site in the DP source.
 MIN_OFFLOAD = 64
@@ -48,7 +47,7 @@ THREADS_PER_CTA = 128
 CHILD_ITEMS_PER_THREAD = 8
 
 
-@functools.lru_cache(maxsize=None)
+@input_cache
 def cascade_items(
     levels: int, total_items: int, concentration: float, seed: int
 ) -> np.ndarray:

@@ -14,13 +14,12 @@ CTA-concurrency limit in the paper's DTBL comparison (Fig. 21).
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
 import numpy as np
 
 from repro.sim.kernel import Application, ChildRequest, KernelSpec
-from repro.workloads.base import REGISTRY, AddressAllocator, Benchmark
+from repro.workloads.base import REGISTRY, AddressAllocator, Benchmark, input_cache
 
 LOOKUP_ITEMS_PER_READ = 6  # seed lookup/filtering done by the parent itself
 #: Reads arrive in batches (streamed from storage); one host kernel each.
@@ -38,7 +37,7 @@ _INPUTS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
+@input_cache
 def _candidates(input_name: str, seed: int) -> np.ndarray:
     try:
         reads, exponent, cap = _INPUTS[input_name]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.workloads import amr, bfs, get_benchmark, join, mandelbrot, matmul, seqalign
-from repro.workloads.graphs import bfs_levels
+from repro.workloads.graphs import bfs_levels, graph_input
 
 
 class TestBFSStructure:
@@ -14,7 +14,7 @@ class TestBFSStructure:
         assert len(app.kernels) == len(levels)
 
     def test_heavy_vertices_become_requests(self):
-        graph = bfs.build.__globals__["_graph"]("citation", 1)
+        graph = graph_input("citation", 1)
         app = bfs.build("citation", variant="dp", seed=1)
         total_requests = sum(k.num_child_requests() for k in app.kernels)
         heavy = 0
@@ -23,7 +23,7 @@ class TestBFSStructure:
         assert total_requests == heavy
 
     def test_request_items_equal_vertex_degree(self):
-        graph = bfs._graph("citation", 1)
+        graph = graph_input("citation", 1)
         app = bfs.build("citation", variant="dp", seed=1)
         for spec in app.kernels:
             for reqs in spec.child_requests.values():
@@ -156,7 +156,7 @@ class TestBenchmarkWiring:
     def test_traversal_level_sizes_match_graph(self):
         bench = get_benchmark("BFS-graph500")
         app = bench.flat(1)
-        graph = bfs._graph("graph500", 1)
+        graph = graph_input("graph500", 1)
         levels = bfs_levels(graph, int(np.argmax(graph.degrees)))
         for spec, level in zip(app.kernels, levels):
             assert spec.num_threads == len(level)
