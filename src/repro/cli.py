@@ -144,6 +144,47 @@ def _open_cli_store(args, *, default: bool):
     return open_store(url) if use else None
 
 
+def _service_runners(args):
+    """Runner wiring shared by ``serve`` and ``replay``: ``(faults, runners)``.
+
+    One runner per ``--shards``, each over the store flags' store, wrapped
+    in a flaky store when ``REPRO_FAULTS`` injects chaos.  Returns None
+    (after printing the error) for a bad ``--shards``.
+    """
+    from repro.harness.faults import FaultPlan
+    from repro.harness.store import default_cache_dir, open_store
+    from repro.service import fleet_runners
+
+    if args.shards < 1:
+        print(f"error: --shards must be >= 1, got {args.shards}",
+              file=sys.stderr)
+        return None
+    use_store, url = _resolve_store_url(args, default=True)
+    faults = FaultPlan.from_env()
+    if faults is not None:
+        print(f"chaos: injecting faults {faults.to_dict()}", file=sys.stderr)
+    if args.shards > 1:
+        # Sharded fleet: every shard opens its own handle to the SAME
+        # store URL (that shared backend is what fleet-wide dedup rides
+        # on), so the default cache dir must be spelled out as a URL.
+        store_url = None
+        if use_store:
+            store_url = url if url is not None else f"dir://{default_cache_dir()}"
+        wrap = (
+            faults.flaky_store
+            if (faults is not None and store_url is not None)
+            else None
+        )
+        return faults, fleet_runners(
+            args.shards, store_url=store_url, wrap_store=wrap
+        )
+    store = open_store(url) if use_store else None
+    runner = Runner(store=store)
+    if faults is not None and store is not None:
+        runner.store = faults.flaky_store(store)
+    return faults, [runner]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -159,7 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--scheme",
         default="spawn",
-        help="flat | baseline-dp | spawn | dtbl | threshold:<T> (default: spawn)",
+        help="flat | baseline-dp | offline | spawn | dtbl | acs | "
+        "consolidate[:<B>] | aggregate:<warp|block|grid> | threshold:<T> "
+        "(default: spawn)",
     )
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--cta-threads", type=int, default=None,
@@ -878,8 +921,6 @@ def _latency_rows(latency: dict) -> list:
 def cmd_serve(args, out) -> int:
     import asyncio
 
-    from repro.harness.faults import FaultPlan
-    from repro.harness.store import default_cache_dir, open_store
     from repro.service import (
         FleetConfig,
         RequestLedger,
@@ -887,16 +928,11 @@ def cmd_serve(args, out) -> int:
         ServiceFleet,
         SimulationService,
         drive_service,
-        fleet_runners,
         generate_traffic,
         load_requests,
     )
     from repro.service.ledger import SHED as LEDGER_SHED
 
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}",
-              file=sys.stderr)
-        return 2
     if args.requests is not None:
         requests = load_requests(args.requests)
         source = args.requests
@@ -932,37 +968,18 @@ def cmd_serve(args, out) -> int:
         autotune_pulls=args.autotune_pulls,
         autotune_seed=args.traffic_seed,
     )
-    use_store, url = _resolve_store_url(args, default=True)
-    faults = FaultPlan.from_env()
-    if faults is not None:
-        print(f"chaos: injecting faults {faults.to_dict()}", file=sys.stderr)
-
+    wiring = _service_runners(args)
+    if wiring is None:
+        return 2
+    faults, runners = wiring
     if args.shards > 1:
-        # Sharded fleet: every shard opens its own handle to the SAME
-        # store URL (that shared backend is what fleet-wide dedup rides
-        # on), so the default cache dir must be spelled out as a URL.
-        store_url = None
-        if use_store:
-            store_url = url if url is not None else f"dir://{default_cache_dir()}"
-        wrap = (
-            faults.flaky_store
-            if (faults is not None and store_url is not None)
-            else None
-        )
-        runners = fleet_runners(
-            args.shards, store_url=store_url, wrap_store=wrap
-        )
         service = ServiceFleet(
             runners,
             config=FleetConfig(shards=args.shards, service=config),
             faults=faults,
         )
     else:
-        store = open_store(url) if use_store else None
-        runner = Runner(store=store)
-        if faults is not None and store is not None:
-            runner.store = faults.flaky_store(store)
-        service = SimulationService(runner, config=config, faults=faults)
+        service = SimulationService(runners[0], config=config, faults=faults)
 
     async def drive():
         async with service:
@@ -1098,20 +1115,13 @@ def cmd_replay(args, out) -> int:
     import asyncio
 
     from repro.errors import ReplayBudgetExceeded
-    from repro.harness.faults import FaultPlan
-    from repro.harness.store import default_cache_dir, open_store
     from repro.service import (
         ReplayBudgets,
         RequestLedger,
         ServiceConfig,
-        fleet_runners,
         replay_ledger,
     )
 
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}",
-              file=sys.stderr)
-        return 2
     ledger = RequestLedger.read(args.ledger)
     if not len(ledger):
         print(f"error: {args.ledger} holds no requests", file=sys.stderr)
@@ -1127,10 +1137,10 @@ def cmd_replay(args, out) -> int:
         max_batch=args.max_batch,
         max_queue=args.max_queue,
     )
-    use_store, url = _resolve_store_url(args, default=True)
-    faults = FaultPlan.from_env()
-    if faults is not None:
-        print(f"chaos: injecting faults {faults.to_dict()}", file=sys.stderr)
+    wiring = _service_runners(args)
+    if wiring is None:
+        return 2
+    faults, runners = wiring
     budgets = ReplayBudgets(
         max_p99_s=(
             args.max_p99_ms / 1000.0 if args.max_p99_ms is not None else None
@@ -1139,24 +1149,9 @@ def cmd_replay(args, out) -> int:
     )
 
     if args.shards > 1:
-        store_url = None
-        if use_store:
-            store_url = url if url is not None else f"dir://{default_cache_dir()}"
-        wrap = (
-            faults.flaky_store
-            if (faults is not None and store_url is not None)
-            else None
-        )
-        runners = fleet_runners(
-            args.shards, store_url=store_url, wrap_store=wrap
-        )
         replay_kwargs = {"runners": runners, "shards": args.shards}
     else:
-        store = open_store(url) if use_store else None
-        runner = Runner(store=store)
-        if faults is not None and store is not None:
-            runner.store = faults.flaky_store(store)
-        replay_kwargs = {"runner": runner}
+        replay_kwargs = {"runner": runners[0]}
 
     report = asyncio.run(
         replay_ledger(

@@ -8,8 +8,9 @@ split on top of :class:`~repro.harness.runner.Runner`:
 1. **Plan.**  Callers declare the full run-set up front as a list of
    :class:`RunConfig` (experiment modules expose these via
    :mod:`repro.experiments.plans`).  ``offline`` entries are expanded into
-   the threshold sweep that defines them, so every scheme in
-   ``DP_SCHEMES`` — including Offline-Search — can be fanned out.
+   the threshold sweep that defines them
+   (:func:`~repro.harness.runner.offline_variants`), so Offline-Search's
+   runs fan out too.
 2. **Execute.**  Unique, uncached configs are shipped to a
    ``ProcessPoolExecutor``; each worker simulates independently and
    returns a JSON payload (:meth:`SimResult.to_dict`).  Workers never
@@ -69,7 +70,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from repro.errors import HarnessError, RunFailure, TaskTimeout, WorkerCrash
 from repro.harness import schemes as sch
 from repro.harness.faults import FaultPlan
-from repro.harness.runner import RunConfig, Runner
+from repro.harness.runner import RunConfig, Runner, offline_variants
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import (
     HARNESS_POOL_REBUILD,
@@ -84,7 +85,6 @@ from repro.obs.tracer import (
 )
 from repro.sim.config import GPUConfig
 from repro.sim.engine import SimResult
-from repro.workloads.base import get_benchmark
 
 #: Task outcome statuses.
 OK = "ok"
@@ -257,47 +257,24 @@ class ParallelRunner:
     def expand(self, configs: Sequence[RunConfig]) -> List[RunConfig]:
         """Concrete, deduplicated work-set for ``configs`` (input order).
 
-        ``offline`` is not directly runnable — it is *defined* as the best
-        static threshold found by sweeping — so an offline entry expands
-        into its benchmark's flat run plus every ``threshold:<T>`` in the
-        sweep list (matching :func:`repro.harness.sweep.offline_search`).
+        An ``offline`` entry expands into its
+        :func:`~repro.harness.runner.offline_variants`, so the sweep that
+        defines Offline-Search fans out like any other runs.
         """
         expanded: List[RunConfig] = []
         seen: set = set()
-
-        def add(config: RunConfig) -> None:
-            key = config.key()
-            if key not in seen:
-                seen.add(key)
-                expanded.append(config)
-
         for config in configs:
-            spec = sch.SchemeSpec.parse(config.scheme)
-            if spec.name == sch.OFFLINE:
-                for concrete in self._offline_expansion(config):
-                    add(concrete)
-            else:
-                add(config)
-        return expanded
-
-    @staticmethod
-    def _offline_expansion(config: RunConfig) -> List[RunConfig]:
-        benchmark = get_benchmark(config.benchmark)
-        variants = [sch.FLAT]
-        variants.extend(
-            f"threshold:{threshold}" for threshold in benchmark.sweep_thresholds
-        )
-        return [
-            RunConfig(
-                benchmark=config.benchmark,
-                scheme=scheme,
-                seed=config.seed,
-                cta_threads=config.cta_threads,
-                stream_policy=config.stream_policy,
-                trace_interval=config.trace_interval,
+            concrete = (
+                offline_variants(config)
+                if config.scheme == sch.OFFLINE
+                else [config]
             )
-            for scheme in variants
-        ]
+            for variant in concrete:
+                key = variant.key()
+                if key not in seen:
+                    seen.add(key)
+                    expanded.append(variant)
+        return expanded
 
     # ------------------------------------------------------------------
     # Execution
@@ -339,7 +316,10 @@ class ParallelRunner:
             states = [_TaskState(config) for config in work]
             self._execute(states, jobs, report)
             report.outcomes = [state.outcome() for state in states]
-        report.results = [self._resolve(config) for config in configs]
+        # Resolution never re-simulates: a quarantined run (or, for
+        # Offline-Search, any run of its sweep) answers None and cannot
+        # sneak back in through the parent.
+        report.results = [self.runner.cached(config) for config in configs]
         return report
 
     def _execute(
@@ -590,38 +570,3 @@ class ParallelRunner:
     def _emit(self, kind: str, **args) -> None:
         if self.tracer.enabled:
             self.tracer.emit(kind, ts=time.perf_counter(), **args)
-
-    # ------------------------------------------------------------------
-    # Resolution
-    # ------------------------------------------------------------------
-    def _resolve(self, config: RunConfig) -> Optional[SimResult]:
-        """Answer one requested config from the now-warm caches.
-
-        Returns None when the run (or, for Offline-Search, any run of its
-        defining sweep) was quarantined — resolution never re-simulates,
-        so a quarantined failure cannot sneak back in through the parent.
-        """
-        spec = sch.SchemeSpec.parse(config.scheme)
-        if spec.name != sch.OFFLINE:
-            return self.runner.cached(config)
-        # Re-derive Offline-Search from the (now cached) sweep runs, with
-        # the same selection rule as harness.sweep.offline_search: best
-        # speedup over flat, first threshold winning ties.
-        variants = self._offline_expansion(config)
-        flat = self.runner.cached(variants[0])
-        if flat is None:
-            return None
-        best: Optional[Tuple[float, SimResult]] = None
-        for variant in variants[1:]:
-            result = self.runner.cached(variant)
-            if result is None:
-                return None
-            if result.makespan <= 0:
-                raise HarnessError(
-                    f"{config.benchmark}/{variant.scheme}: zero makespan"
-                )
-            speedup = flat.makespan / result.makespan
-            if best is None or speedup > best[0]:
-                best = (speedup, result)
-        assert best is not None  # sweep lists are never empty
-        return best[1]

@@ -18,8 +18,8 @@ Every lookup and simulation is counted in :data:`repro.obs.metrics.METRICS`:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import HarnessError
 from repro.harness import schemes as sch
@@ -29,7 +29,7 @@ from repro.obs.tracer import MultiTracer, Tracer
 from repro.runtime.streams import PerChildStream, PerParentCTAStream
 from repro.sim.config import GPUConfig
 from repro.sim.engine import GPUSimulator, SimResult
-from repro.workloads.base import Benchmark, get_benchmark
+from repro.workloads.base import get_benchmark
 
 #: Stream policy names accepted by the runner.
 PER_CHILD = "per-child"
@@ -62,6 +62,57 @@ class RunConfig:
             self.stream_policy,
             self.trace_interval,
         )
+
+
+# -- Offline-Search (Section III-A) ------------------------------------
+# "The best workload distribution ratio [picked] by performing an
+# exhaustive sweep of the THRESHOLD metric": the runner resolves an
+# ``offline`` config by running these variants and keeping the winner.
+
+
+def offline_variants(
+    config: RunConfig, thresholds: Optional[Sequence[int]] = None
+) -> List[RunConfig]:
+    """Offline-Search's run-set: the flat run, then every ``threshold:<T>``.
+
+    ``thresholds`` defaults to the benchmark's sweep list.  Every variant
+    keeps ``config``'s other fields (seed, CTA size, stream policy, trace
+    interval).
+    """
+    if thresholds is None:
+        thresholds = get_benchmark(config.benchmark).sweep_thresholds
+    schemes = [sch.FLAT] + [f"threshold:{t}" for t in thresholds]
+    return [replace(config, scheme=scheme) for scheme in schemes]
+
+
+def speedup_over_flat(
+    flat: SimResult, result: SimResult, config: RunConfig
+) -> float:
+    """The paper's metric: flat makespan over ``config``'s makespan."""
+    if result.makespan <= 0:
+        raise HarnessError(f"{config.benchmark}/{config.scheme}: zero makespan")
+    return flat.makespan / result.makespan
+
+
+def best_speedup_index(speedups: Sequence[float]) -> int:
+    """Offline-Search's selection rule: index of the best speedup over flat.
+
+    The first threshold wins ties.  Flat itself is not a candidate: a
+    benchmark that prefers ~0% offload says so through a large THRESHOLD.
+    """
+    return speedups.index(max(speedups))
+
+
+def _offline_winner(
+    variants: Sequence[RunConfig], results: Sequence[SimResult]
+) -> int:
+    """Index of the winning variant among :func:`offline_variants` results."""
+    flat = results[0]
+    speedups = [
+        speedup_over_flat(flat, result, variant)
+        for variant, result in zip(variants[1:], results[1:])
+    ]
+    return 1 + best_speedup_index(speedups)
 
 
 class Runner:
@@ -99,7 +150,15 @@ class Runner:
         and raises :class:`~repro.errors.ConformanceError` if any runtime
         invariant is violated.  Like tracing, checking forces a fresh
         simulation without perturbing it.
+
+        ``offline`` runs every :func:`offline_variants` config, then
+        returns the winner's run; with a tracer or checker attached, only
+        that winning run is traced.
         """
+        if run_config.scheme == sch.OFFLINE:
+            variants = offline_variants(run_config)
+            winner = _offline_winner(variants, [self.run(v) for v in variants])
+            return self.run(variants[winner], tracer=tracer, check=check)
         checker = None
         if check:
             # Import here so the checker stays out of the harness's module
@@ -126,10 +185,6 @@ class Runner:
         METRICS.counter("runner.cache_misses").inc()
         benchmark = get_benchmark(run_config.benchmark)
         spec = sch.SchemeSpec.parse(run_config.scheme)
-        if spec.name == sch.OFFLINE:
-            raise HarnessError(
-                "resolve 'offline' through harness.sweep.offline_search first"
-            )
         if spec.variant == "flat":
             app = benchmark.flat(run_config.seed)
         else:
@@ -169,7 +224,17 @@ class Runner:
         A disk hit is promoted into the memory cache.  No profiling
         counters fire — this is the parallel harness's pre-filter, not a
         run.
+
+        ``offline`` is derived from its cached variants, and is None while
+        any of them is missing (never simulated here, so a quarantined
+        variant cannot sneak back in).
         """
+        if run_config.scheme == sch.OFFLINE:
+            variants = offline_variants(run_config)
+            results = [self.cached(variant) for variant in variants]
+            if any(result is None for result in results):
+                return None
+            return results[_offline_winner(variants, results)]
         cached = self._cache.get(run_config.key())
         if cached is not None:
             return cached
@@ -244,9 +309,7 @@ class Runner:
             benchmark, scheme, seed=seed, cta_threads=cta_threads,
             stream_policy=stream_policy,
         )
-        if other.makespan <= 0:
-            raise HarnessError(f"{benchmark}/{scheme}: zero makespan")
-        return flat.makespan / other.makespan
+        return speedup_over_flat(flat, other, RunConfig(benchmark, scheme))
 
     @staticmethod
     def _stream_policy(name: str):

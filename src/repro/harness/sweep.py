@@ -1,9 +1,10 @@
 """Threshold sweeps and Offline-Search (Section III-A / Fig. 5).
 
-Offline-Search is "the best workload distribution ratio [picked] by
-performing an exhaustive sweep of the THRESHOLD metric" — here: run every
-``threshold:<T>`` in the benchmark's sweep list plus the flat end point, and
-keep the fastest.
+Offline-Search itself is defined once, in :mod:`repro.harness.runner`
+(:func:`~repro.harness.runner.offline_variants` and its selection rule);
+a runner resolves ``scheme="offline"`` like any other scheme.  This module
+reports the sweep point by point for Fig. 5 and names the winning
+threshold.
 """
 
 from __future__ import annotations
@@ -12,9 +13,14 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.harness import schemes as sch
-from repro.harness.runner import RunConfig, Runner
+from repro.harness.runner import (
+    RunConfig,
+    Runner,
+    best_speedup_index,
+    offline_variants,
+    speedup_over_flat,
+)
 from repro.sim.engine import SimResult
-from repro.workloads.base import get_benchmark
 
 
 @dataclass(frozen=True)
@@ -34,7 +40,8 @@ class SweepResult:
     points: Tuple[SweepPoint, ...]
 
     def best(self) -> SweepPoint:
-        return max(self.points, key=lambda p: p.speedup_over_flat)
+        speedups = [point.speedup_over_flat for point in self.points]
+        return self.points[best_speedup_index(speedups)]
 
 
 def sweep_plan(
@@ -49,16 +56,10 @@ def sweep_plan(
     to warm the cache before :func:`threshold_sweep` /
     :func:`offline_search`, which then complete without simulating.
     """
-    benchmark = get_benchmark(benchmark_name)
-    sweep = thresholds if thresholds is not None else benchmark.sweep_thresholds
-    plan = [RunConfig(benchmark=benchmark_name, scheme=sch.FLAT, seed=seed)]
-    plan.extend(
-        RunConfig(
-            benchmark=benchmark_name, scheme=f"threshold:{threshold}", seed=seed
-        )
-        for threshold in sweep
+    return offline_variants(
+        RunConfig(benchmark=benchmark_name, scheme=sch.OFFLINE, seed=seed),
+        thresholds,
     )
-    return plan
 
 
 def threshold_sweep(
@@ -78,34 +79,24 @@ def threshold_sweep(
     :class:`~repro.harness.parallel.ExecutionPolicy` for the fan-out
     (timeouts/retries).
     """
-    benchmark = get_benchmark(benchmark_name)
-    sweep = thresholds if thresholds is not None else benchmark.sweep_thresholds
+    plan = sweep_plan(benchmark_name, seed=seed, thresholds=thresholds)
     if jobs > 1:
         from repro.harness.parallel import ParallelRunner
 
-        ParallelRunner(runner, policy=policy).run_many(
-            sweep_plan(benchmark_name, seed=seed, thresholds=sweep), jobs=jobs
-        )
-    flat = runner.run(RunConfig(benchmark=benchmark_name, scheme=sch.FLAT, seed=seed))
-    points: List[SweepPoint] = []
-    for threshold in sweep:
-        result = runner.run(
-            RunConfig(
-                benchmark=benchmark_name,
-                scheme=f"threshold:{threshold}",
-                seed=seed,
-            )
-        )
-        points.append(_point(threshold, flat, result))
-    return SweepResult(benchmark=benchmark_name, points=tuple(points))
+        ParallelRunner(runner, policy=policy).run_many(plan, jobs=jobs)
+    flat, *results = [runner.run(config) for config in plan]
+    points = tuple(
+        _point(config, flat, result) for config, result in zip(plan[1:], results)
+    )
+    return SweepResult(benchmark=benchmark_name, points=points)
 
 
-def _point(threshold: int, flat: SimResult, result: SimResult) -> SweepPoint:
+def _point(config: RunConfig, flat: SimResult, result: SimResult) -> SweepPoint:
     return SweepPoint(
-        threshold=threshold,
+        threshold=sch.SchemeSpec.parse(config.scheme).threshold,
         offload_fraction=result.stats.offload_fraction,
         makespan=result.makespan,
-        speedup_over_flat=flat.makespan / result.makespan,
+        speedup_over_flat=speedup_over_flat(flat, result, config),
         child_kernels=result.stats.child_kernels_launched,
     )
 
@@ -120,14 +111,12 @@ def offline_search(
 ) -> Tuple[int, SimResult]:
     """Best static threshold and its run (the paper's Offline-Search).
 
-    The flat implementation is *not* a candidate: Offline-Search picks the
-    best *DP* workload distribution; a benchmark that prefers ~0% offload
-    expresses that through a large THRESHOLD.
+    The run is what ``runner.run`` returns for ``scheme="offline"``; this
+    also names the winning threshold.
     """
-    sweep = threshold_sweep(
+    best = threshold_sweep(
         runner, benchmark_name, seed=seed, jobs=jobs, policy=policy
-    )
-    best = sweep.best()
+    ).best()
     result = runner.run(
         RunConfig(
             benchmark=benchmark_name,

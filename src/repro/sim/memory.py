@@ -196,28 +196,6 @@ class MemorySystem:
             result = [result[int(i * step)] for i in range(self.max_lines_per_cta)]
         return result
 
-    def access_cta_arrays(
-        self, bases: np.ndarray, extents: np.ndarray
-    ) -> Tuple[int, int, float]:
-        """Array-based :meth:`access_cta`."""
-        lines = self.region_lines_arrays(bases, extents)
-        if not lines:
-            return 0, 0, 1.0
-        hits, misses = self.l2.access_lines(lines)
-        return hits, misses, hits / (hits + misses)
-
-    def access_cta(self, regions: Sequence[Region]) -> Tuple[int, int, float]:
-        """Stream a CTA's footprint through the L2.
-
-        Returns ``(hits, misses, hit_rate)`` for this CTA's stream; the
-        hit rate feeds the CTA's per-access stall time.
-        """
-        lines = self.region_lines(regions)
-        if not lines:
-            return 0, 0, 1.0
-        hits, misses = self.l2.access_lines(lines)
-        return hits, misses, hits / (hits + misses)
-
     def stall_cycles(self, hit_rate: float) -> float:
         return self.config.stall_cycles(hit_rate)
 

@@ -36,6 +36,20 @@ class TestSimulate:
         spawn = runner.run(RunConfig(benchmark=FAST, scheme="spawn"))
         assert speedup == pytest.approx(flat.makespan / spawn.makespan)
 
+    def test_offline_is_the_offline_search_result(self, runner):
+        _, expected = api.offline_search(runner, FAST)
+        result = api.simulate(FAST, "offline")
+        assert result.makespan == expected.makespan
+        assert result.summary() == expected.summary()
+
+    def test_replicate_offline(self, runner):
+        _, expected = api.offline_search(runner, FAST)
+        flat = runner.run(RunConfig(benchmark=FAST, scheme="flat"))
+        replication = api.replicate(FAST, schemes=("offline",), seeds=(1,))
+        assert replication.stats["offline"].speedups == (
+            flat.makespan / expected.makespan,
+        )
+
 
 class TestRunSuite:
     def test_accepts_tuples_and_configs(self, runner):

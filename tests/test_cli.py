@@ -92,6 +92,15 @@ class TestObservabilityCommands:
         assert "speedup_vs_flat" in summary
         assert "peak_ccqs_depth" in summary
 
+    def test_run_offline_is_the_offline_search_result(self):
+        from repro.harness.runner import Runner
+        from repro.harness.sweep import offline_search
+
+        _, expected = offline_search(Runner(), "GC-citation")
+        code, text = run_cli("run", "GC-citation", "--scheme", "offline", "--json")
+        assert code == 0
+        assert json.loads(text)["makespan"] == expected.makespan
+
     def test_run_json_flat_has_no_speedup(self):
         code, text = run_cli("run", "GC-citation", "--scheme", "flat", "--json")
         assert code == 0

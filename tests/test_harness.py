@@ -5,9 +5,19 @@ import pytest
 from repro.errors import HarnessError
 from repro.harness import schemes as sch
 from repro.harness.report import format_series, format_table, percent
-from repro.harness.runner import PER_PARENT_CTA, RunConfig, Runner, geometric_mean
+from repro.harness.runner import (
+    PER_PARENT_CTA,
+    RunConfig,
+    Runner,
+    geometric_mean,
+    offline_variants,
+    speedup_over_flat,
+)
 from repro.harness.sweep import offline_search, threshold_sweep
+from repro.obs.tracer import Tracer
 from repro.sim.config import GPUConfig
+from repro.sim.engine import SimResult
+from repro.sim.stats import SimStats
 from repro.workloads import get_benchmark
 
 #: The cheapest benchmark to simulate end-to-end.
@@ -71,9 +81,12 @@ class TestRunner:
         base = runner.run(RunConfig(benchmark=FAST, scheme="baseline-dp"))
         assert speedup == pytest.approx(flat.makespan / base.makespan)
 
-    def test_offline_must_be_resolved_by_sweep(self, runner):
-        with pytest.raises(HarnessError):
-            runner.run(RunConfig(benchmark=FAST, scheme="offline"))
+    def test_offline_run_is_the_offline_search_result(self, runner):
+        threshold, expected = offline_search(runner, FAST)
+        result = runner.run(RunConfig(benchmark=FAST, scheme="offline"))
+        assert result is expected
+        fresh = Runner().run(RunConfig(benchmark=FAST, scheme="offline"))
+        assert fresh.summary() == expected.summary()
 
     def test_stream_policy_selection(self, runner):
         result = runner.run(
@@ -103,6 +116,54 @@ class TestSweep:
         bench = get_benchmark(FAST)
         assert threshold in bench.sweep_thresholds
         assert result.makespan > 0
+
+
+class TestOfflineResolution:
+    """The runner resolves ``offline`` from its variants, like any scheme."""
+
+    def test_variants_are_flat_then_the_sweep(self):
+        config = RunConfig(
+            benchmark=FAST, scheme="offline", seed=3, cta_threads=64,
+            stream_policy=PER_PARENT_CTA, trace_interval=500.0,
+        )
+        variants = offline_variants(config)
+        thresholds = get_benchmark(FAST).sweep_thresholds
+        assert [v.scheme for v in variants] == ["flat"] + [
+            f"threshold:{t}" for t in thresholds
+        ]
+        for variant in variants:
+            assert variant.key()[2:] == config.key()[2:]
+
+    def test_cached_is_none_until_every_variant_is_cached(self):
+        warm = Runner()
+        offline = RunConfig(benchmark=FAST, scheme="offline")
+        expected = warm.run(offline)
+        cold = Runner()
+        variants = offline_variants(offline)
+        for variant in variants:
+            assert cold.cached(offline) is None
+            cold.cache_result(variant, warm.cached(variant))
+        assert cold.cached(offline) is expected
+
+    def test_traced_offline_traces_the_winning_run_only(self, runner):
+        threshold, _ = offline_search(runner, FAST)
+        tracer = Tracer()
+        Runner().run(RunConfig(benchmark=FAST, scheme="offline"), tracer=tracer)
+        winner = Tracer()
+        Runner().run(
+            RunConfig(benchmark=FAST, scheme=f"threshold:{threshold}"),
+            tracer=winner,
+        )
+        assert tracer.num_events > 0
+        assert [(e.ts, e.kind) for e in tracer.events()] == [
+            (e.ts, e.kind) for e in winner.events()
+        ]
+
+    def test_zero_makespan_is_an_error(self, runner):
+        flat = runner.run(RunConfig(benchmark=FAST, scheme="flat"))
+        broken = SimResult(FAST, "threshold", SimStats())
+        with pytest.raises(HarnessError, match="zero makespan"):
+            speedup_over_flat(flat, broken, RunConfig(FAST, "threshold:1"))
 
 
 class TestAggregation:

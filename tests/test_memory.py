@@ -114,22 +114,27 @@ class TestMemorySystem:
 
     def test_access_cta_reports_hit_rate(self):
         mem = make_memory()
-        hits, misses, rate = mem.access_cta([(0, 256)])
-        assert (hits, misses, rate) == (0, 2, 0.0)
-        hits, misses, rate = mem.access_cta([(0, 256)])
-        assert (hits, misses, rate) == (2, 0, 1.0)
+        stall, rate = mem.cta_access([(0, 256)])
+        assert (mem.l2.hits, mem.l2.misses, rate) == (0, 2, 0.0)
+        assert stall == mem.config.stall_cycles(0.0)
+        stall, rate = mem.cta_access([(0, 256)])
+        assert (mem.l2.hits, mem.l2.misses, rate) == (2, 2, 1.0)
+        assert stall == mem.config.stall_cycles(1.0)
 
     def test_access_cta_empty_is_perfect(self):
-        assert make_memory().access_cta([]) == (0, 0, 1.0)
+        mem = make_memory()
+        assert mem.cta_access([]) == (mem.config.stall_cycles(1.0), 1.0)
+        assert mem.l2.accesses == 0
 
     def test_access_cta_arrays_matches_tuples(self):
         mem_a = make_memory()
         mem_b = make_memory()
         bases = np.array([0, 1024], dtype=np.int64)
         extents = np.array([512, 512], dtype=np.int64)
-        res_a = mem_a.access_cta(list(zip(bases.tolist(), extents.tolist())))
-        res_b = mem_b.access_cta_arrays(bases, extents)
+        res_a = mem_a.cta_access(list(zip(bases.tolist(), extents.tolist())))
+        res_b = mem_b.cta_access_arrays(bases, extents)
         assert res_a == res_b
+        assert (mem_a.l2.hits, mem_a.l2.misses) == (mem_b.l2.hits, mem_b.l2.misses)
 
     def test_eviction_degrades_reuse(self):
         """A working set larger than the L2 loses its reuse."""
@@ -137,8 +142,8 @@ class TestMemorySystem:
             MemoryConfig(l2=CacheConfig(size_bytes=4 * 1024, line_bytes=128, associativity=2))
         )
         footprint = [(0, 32 * 1024)]  # 8x the cache
-        small.access_cta(footprint)
-        _, _, rate = small.access_cta(footprint)
+        small.cta_access(footprint)
+        _, rate = small.cta_access(footprint)
         assert rate == 0.0
 
     def test_rejects_bad_sampling_cap(self):

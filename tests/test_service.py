@@ -19,7 +19,9 @@ from repro.errors import (
     ServiceClosed,
     ServiceOverloaded,
 )
+from repro.api import serve
 from repro.harness.runner import RunConfig, Runner
+from repro.harness.sweep import offline_search
 from repro.obs.tracer import Tracer
 from repro.service import (
     ServiceConfig,
@@ -184,6 +186,30 @@ def test_batch_level_failure_quarantines_batch_not_service():
     assert stats.completed == 1
     assert stats.lost == 0
     assert healthy.makespan > 0
+
+
+# ----------------------------------------------------------------------
+# Offline-Search through every route
+# ----------------------------------------------------------------------
+def test_sequential_offline_requests_complete_on_every_route():
+    """Offline-Search resolves like any scheme: the first request is
+    batched, repeats are cache hits, and a new seed runs inline."""
+    runner = Runner()
+    expected = [offline_search(runner, "GC-citation", seed=s)[1] for s in (1, 2)]
+
+    async def _scenario():
+        async with serve(jobs=1, inline_threshold_ms=1e9) as service:
+            makespans = []
+            for seed in (1, 1, 1, 2):
+                job = await service.submit(("GC-citation", "offline"), seed=seed)
+                [result] = await service.gather([job])
+                makespans.append(result.makespan)
+            return makespans, service.stats()
+
+    makespans, stats = asyncio.run(_scenario())
+    assert makespans == [expected[0].makespan] * 3 + [expected[1].makespan]
+    assert (stats.completed, stats.failed) == (4, 0)
+    assert (stats.batches, stats.cache_hits, stats.inline) == (1, 2, 1)
 
 
 # ----------------------------------------------------------------------
